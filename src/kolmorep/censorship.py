@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -264,10 +265,16 @@ def effective_probability(
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior
+    return prior * _rationalized_trace(suite, i1, policy)
+
+
+def _rationalized_trace(
+    suite: MeasurementSuite, i1: frozenset, policy: RationalizationPolicy
+) -> Fraction:
     t = born(suite.density, [suite.proj(i) for i in sorted(i1)])
     if t < -quantum.TAU_PROB:
         raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
-    return prior * rationalize(max(t, 0.0), policy)
+    return rationalize(max(t, 0.0), policy)
 
 
 @dataclass(frozen=True)
@@ -413,13 +420,25 @@ def assemble_effective_vector(
     scheme: ConjunctionScheme,
     policy: RationalizationPolicy = DEFAULT_POLICY,
 ) -> EffectiveVector:
-    """Fill a scheme over the 2n outcome/switch events with effective probabilities."""
+    """Fill a scheme over the 2n outcome/switch events with effective probabilities.
+
+    Each entry equals ``effective_probability`` of its outcome and switch
+    sets. Within one call, the rationalized trace of an outcome set and the
+    switch probability of a union are each computed once.
+    """
     n = suite.n
     if scheme.n != 2 * n:
         raise SchemeMismatch(f"scheme must range over {2 * n} events (outcomes then switches)")
+    prior_of = cache(partial(switch_probability, dist))
+    trace_of = cache(partial(_rationalized_trace, suite, policy=policy))
     values = {}
     for s in scheme.sets:
         i1 = frozenset(i for i in s if i <= n)
-        i2 = frozenset(i - n for i in s if i > n)
-        values[s] = effective_probability(suite, dist, i1, i2, policy)
+        union = i1 | frozenset(i - n for i in s if i > n)
+        # The checks of effective_probability, in its order.
+        if union and union not in dist.structure:
+            values[s] = Fraction(0)
+            continue
+        prior = prior_of(union)
+        values[s] = prior * trace_of(i1) if prior != 0 and i1 else prior
     return EffectiveVector(CorrelationVector(scheme, values), suite.names)

@@ -29,7 +29,7 @@ from kolmorep.censorship import CensoredSpace
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
 
-from helpers import random_censorship_case
+from helpers import random_censorship_case, random_setup, random_suite
 
 F = Fraction
 
@@ -279,6 +279,39 @@ def test_assemble_effective_vector(orsay_setup):
     assert eff.vector[{1, 6}] == F(0)  # outcome with the conflicting same-side switch
     assert eff.label(1) == "A"
     assert eff.label(5) == "performed:A"
+
+
+def pairs_and_singletons(m):
+    sets = [{i} for i in range(1, m + 1)]
+    return ConjunctionScheme.make(m, sets + [{i, j} for i in range(1, m + 1) for j in range(i + 1, m + 1)])
+
+
+def assert_entries_match_effective_probability(suite, dist, scheme):
+    n = suite.n
+    eff = assemble_effective_vector(suite, dist, scheme)
+    for s in scheme.sets:
+        i1 = {i for i in s if i <= n}
+        i2 = {i - n for i in s if i > n}
+        assert eff.vector[s] == effective_probability(suite, dist, i1, i2), sorted(s)
+
+
+@pytest.mark.parametrize("angles", [orsay.DEFAULT_ANGLES_DEG, (0.0, 60.0, 120.0, 180.0)])
+def test_assembled_entries_equal_effective_probability_orsay(angles):
+    cfg = orsay.OrsayConfig.from_degrees(angles)
+    suite = orsay.build_suite(cfg)
+    dist = orsay.switch_distribution(cfg, suite)
+    assert_entries_match_effective_probability(suite, dist, pairs_and_singletons(8))
+
+
+def test_assembled_entries_equal_effective_probability_random_suites():
+    rng = random.Random(31)
+    for _ in range(4):
+        suite, _, _ = random_suite(rng, rng.choice((2, 4)), rng.randint(2, 4))
+        dist = random_setup(rng, compute_compatibility(suite))
+        m = 2 * suite.n
+        triples = [{i, j, k} for i in range(1, m + 1) for j in range(i + 1, m + 1) for k in range(j + 1, m + 1)]
+        scheme = ConjunctionScheme.make(m, [set(s) for s in pairs_and_singletons(m).sets] + triples)
+        assert_entries_match_effective_probability(suite, dist, scheme)
 
 
 def test_assemble_effective_vector_scheme_guard(orsay_setup):

@@ -1,9 +1,12 @@
-import importlib
-import sys
+import random
 from fractions import Fraction
-from unittest import mock
 
+import pytest
+
+from kolmorep import simplex
+from kolmorep.orsay import OrsayConfig, effective_vector
 from kolmorep.simplex import solve_zero_one_feasibility
+from reference_simplex import solve_zero_one_feasibility as reference_solve
 
 F = Fraction
 
@@ -67,17 +70,127 @@ def test_normalization_only():
     assert sum(res.weights.values()) == 1
 
 
-def test_pure_fraction_fallback_without_gmpy2():
-    # the gmpy2-less code path must produce identical exact verdicts
-    with mock.patch.dict(sys.modules, {"gmpy2": None}):
-        fallback = importlib.reload(importlib.import_module("kolmorep.simplex"))
-        assert fallback._q is Fraction
-        rows = [(0, F(1)), (mask(1), F(1, 2)), (mask(2), F(1, 3)), (mask(1, 2), F(1, 6))]
-        res = fallback.solve_zero_one_feasibility(2, rows)
-        assert res.feasible
-        check_weights(2, rows, res.weights)
-        bad = [(0, F(1)), (mask(1), F(1, 4)), (mask(1, 2), F(1, 2))]
-        res = fallback.solve_zero_one_feasibility(2, bad)
-        assert not res.feasible
-        check_farkas(2, bad, res.farkas)
-    importlib.reload(importlib.import_module("kolmorep.simplex"))
+def random_rhs(rng, n, masks, kind):
+    """Right-hand sides for the row masks: inside, a vertex, uniform in [0, 1], or outside."""
+    def mixture(count, den):
+        points = [rng.randrange(1 << n) for _ in range(count)]
+        cuts = sorted(F(rng.randint(0, den), den) for _ in range(count - 1))
+        weights = [b - a for a, b in zip([F(0)] + cuts, cuts + [F(1)])]
+        return [sum((w for eps, w in zip(points, weights) if column_entry(t, eps)), F(0)) for t in masks]
+
+    if kind == "inside":
+        return mixture(rng.randint(2, 4), rng.choice((2, 3, 6, 12)))
+    if kind == "vertex":
+        return mixture(1, 1)
+    if kind == "uniform":
+        den = rng.choice((2, 4, 5, 8))
+        return [F(rng.randint(0, den), den) for _ in masks]
+    values = mixture(rng.randint(1, 3), rng.choice((2, 4, 6)))
+    i = rng.randrange(len(values))
+    values[i] += rng.choice((F(-1, 3), F(1, 4), F(-3, 2), F(5, 4)))
+    return values
+
+
+def random_system(rng, n, kind):
+    """A row system over n positions, usually with the normalization row first."""
+    count = rng.randint(1, min((1 << n) - 1, 3 * n))
+    masks = rng.sample(range(1, 1 << n), count)
+    if rng.random() < 0.9:
+        masks = [0] + masks
+    return list(zip(masks, random_rhs(rng, n, masks, kind)))
+
+
+def corpus(seed=2024, size=500):
+    rng = random.Random(seed)
+    kinds = ("inside", "vertex", "uniform", "outside")
+    systems = []
+    for k in range(size):
+        n = 1 + k % 6
+        systems.append((n, random_system(rng, n, kinds[k % 4])))
+    return systems
+
+
+def orsay_rows():
+    p = effective_vector(OrsayConfig()).vector
+    return [(0, F(1))] + [(mask(*s), p.values[s]) for s in p.scheme.sorted_sets()]
+
+
+def assert_plain_fractions(res):
+    values = list((res.weights or {}).values()) + list(res.farkas or ())
+    for v in values:
+        assert type(v) is Fraction
+        assert type(v.numerator) is int and type(v.denominator) is int
+
+
+def test_equals_reference_on_random_corpus():
+    verdicts = set()
+    for n, rows in corpus():
+        res = solve_zero_one_feasibility(n, rows)
+        assert res == reference_solve(n, rows), (n, rows)
+        assert_plain_fractions(res)
+        verdicts.add(res.feasible)
+    assert verdicts == {True, False}
+
+
+def test_equals_reference_on_orsay_effective_vector():
+    rows = orsay_rows()
+    assert len(rows) == 37
+    res = solve_zero_one_feasibility(8, rows)
+    assert res.feasible
+    assert res == reference_solve(8, rows)
+    check_weights(8, rows, res.weights)
+
+
+def record_guard(monkeypatch):
+    """Wrap the int64 guard so a test can see which dtype each iteration ran on."""
+    calls = []
+    guard = simplex._needs_object
+
+    def spy(m, peak):
+        calls.append(guard(m, peak))
+        return calls[-1]
+
+    monkeypatch.setattr(simplex, "_needs_object", spy)
+    return calls
+
+
+def huge_denominator_systems():
+    # Inside and outside vectors over n = 3 with denominators near 2^40.
+    dens = [2**40 - 87, 2**40 - 167, 2**40 + 15]
+    w = [F(2**39 + 5, dens[0]), F(2**38 - 3, dens[1]), F(2**37 + 11, dens[2])]
+    w.append(1 - sum(w))
+    points = [0b011, 0b101, 0b110, 0b111]
+    masks = [0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    inside = [(t, sum((x for eps, x in zip(points, w) if column_entry(t, eps)), F(0))) for t in masks]
+    outside = inside[:-1] + [(0b111, inside[-1][1] + F(1, dens[0]))]
+    return [inside, outside]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_huge_denominators_run_on_python_ints(monkeypatch, case):
+    rows = huge_denominator_systems()[case]
+    expected = reference_solve(3, rows)
+    calls = record_guard(monkeypatch)
+    res = solve_zero_one_feasibility(3, rows)
+    assert calls[0] is True  # object dtype from the start
+    assert res.feasible == (case == 0)
+    assert res == expected
+    assert_plain_fractions(res)
+
+
+def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
+    # Vertex systems start with entries of 1; basis determinants then grow past it.
+    rng = random.Random(7)
+    systems = [(n, random_system(rng, n, "vertex")) for n in (4, 5) for _ in range(20)]
+    calls = record_guard(monkeypatch)
+    switched = 0
+    for n, rows in systems:
+        expected = reference_solve(n, rows)
+        for k in range(2, 16):
+            monkeypatch.setattr(simplex, "_INT64_MAX", 2**k)
+            calls.clear()
+            res = solve_zero_one_feasibility(n, rows)
+            assert res == expected, (n, rows, k)
+            assert_plain_fractions(res)
+            switched += calls[0] is False and calls[-1] is True
+    assert switched > 0
