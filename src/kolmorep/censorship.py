@@ -12,16 +12,17 @@ then
 zero whenever the required measurements cannot coexist. This module builds
 the per-context outcome spaces, glues them into one finite probability space
 on the disjoint union of their sample sets, and verifies that this single
-space reproduces every effective probability. Quantum traces are floats;
-they are identified with small exact fractions under a rationalization
-policy before they enter any measure, so the verification is exact.
+space reproduces every effective probability. The only floats are the
+moments tr(W prod_{i in I} A_i); each is identified with an exact fraction
+once per suite and policy (``MeasurementSuite.moment``), and every mass and
+probability is derived from those fractions exactly, so the verification is
+exact and the context marginals agree by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -35,7 +36,7 @@ from .errors import (
     SchemeMismatch,
 )
 from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace, evaluate
-from .quantum import Operator, born, commutes, complement
+from .quantum import Operator, born, commutes
 from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
 
 SWITCH_EVENT_PREFIX = "performed:"
@@ -59,6 +60,7 @@ class MeasurementSuite:
 
     density: Operator
     measurements: tuple
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.density.has_tag("density"):
@@ -100,6 +102,28 @@ class MeasurementSuite:
 
     def name_of(self, i: int) -> str:
         return self.measurements[i - 1].name
+
+    def moment(
+        self, index_set: Iterable[int], policy: RationalizationPolicy = DEFAULT_POLICY
+    ) -> Fraction:
+        """tr(W prod_{i in I} A_i) as an exact fraction, computed once per set and policy.
+
+        The empty product gives exactly 1. A trace below -TAU_PROB is a
+        numerical failure; smaller negative noise is clamped to 0 before
+        rationalization.
+        """
+        key = (frozenset(index_set), policy)
+        value = self._moments.get(key)
+        if value is None:
+            if not key[0]:
+                value = Fraction(1)
+            else:
+                t = born(self.density, [self.proj(i) for i in sorted(key[0])])
+                if t < -quantum.TAU_PROB:
+                    raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
+                value = rationalize(max(t, 0.0), policy)
+            self._moments[key] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -188,14 +212,6 @@ def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fra
     )
 
 
-def _outcome_operators(suite: MeasurementSuite, members: Sequence[int], bits: Sequence[int]):
-    ops = []
-    for i, b in zip(members, bits):
-        p = suite.proj(i)
-        ops.append(p if b else complement(p))
-    return ops
-
-
 def context_space(
     context: Iterable[int],
     suite: MeasurementSuite,
@@ -203,10 +219,13 @@ def context_space(
 ) -> KolmogorovSpace:
     """Outcome space of one context: atoms are the 2^|J| joint outcomes.
 
-    Masses are the trace-rule values of the corresponding projector products
-    (complements for 0 bits), identified with exact fractions. The analytic
-    sum is 1; a float sum off by more than TAU_PROB, or a rationalized sum
-    off exactly, is reported as a numerical failure rather than renormalized.
+    Atom masses come from the suite's exact moments by inclusion-exclusion:
+    the atom whose hits are S (misses the rest of J) has mass
+    sum_{S <= T <= J} (-1)^|T - S| m_T. The atoms sum to m_empty = 1 exactly,
+    and every marginal is exactly the moment of its hits, so contexts agree
+    wherever they overlap. A negative atom means the rationalized moments
+    admit no distribution; it is reported as a numerical failure, never
+    clamped. Atom masses may have denominators above the policy's bound.
     """
     members = sorted(frozenset(context))
     if not members:
@@ -217,23 +236,26 @@ def context_space(
                 f"measurements {suite.name_of(i)!r} and {suite.name_of(j)!r} do not commute"
             )
 
-    point_bits = list(product((1, 0), repeat=len(members)))
-    raw = []
-    for bits in point_bits:
-        t = born(suite.density, _outcome_operators(suite, members, bits))
-        if t < -quantum.TAU_PROB:
-            raise NumericalFailure(f"outcome mass {t} is negative beyond tolerance")
-        raw.append(max(t, 0.0))
-    if abs(sum(raw) - 1.0) > quantum.TAU_PROB:
-        raise NumericalFailure(f"context masses sum to {sum(raw)}, expected 1")
-
-    masses = [rationalize(t, policy) for t in raw]
-    if sum(masses, Fraction(0)) != 1:
+    k = len(members)
+    # mass[mask] starts as the moment of the members whose bits are set ...
+    mass = [
+        suite.moment((i for pos, i in enumerate(members) if mask >> pos & 1), policy)
+        for mask in range(1 << k)
+    ]
+    # ... and Moebius inversion over supersets turns it into the atom with exactly those hits.
+    for pos in range(k):
+        bit = 1 << pos
+        for mask in range(1 << k):
+            if not mask & bit:
+                mass[mask] -= mass[mask | bit]
+    if min(mass) < 0:
         raise NumericalFailure(
-            "rationalized context masses do not sum to one; "
-            "raise the policy's max denominator for this suite"
+            f"context {[suite.name_of(i) for i in members]} has a negative atom {min(mass)}: "
+            "its rationalized moments admit no distribution"
         )
 
+    point_bits = list(product((1, 0), repeat=k))
+    masses = [mass[sum(b << pos for pos, b in enumerate(bits))] for bits in point_bits]
     ids = tuple("".join(str(b) for b in bits) for bits in point_bits)
     events = {
         suite.name_of(i): frozenset(
@@ -265,16 +287,7 @@ def effective_probability(
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior
-    return prior * _rationalized_trace(suite, i1, policy)
-
-
-def _rationalized_trace(
-    suite: MeasurementSuite, i1: frozenset, policy: RationalizationPolicy
-) -> Fraction:
-    t = born(suite.density, [suite.proj(i) for i in sorted(i1)])
-    if t < -quantum.TAU_PROB:
-        raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
-    return rationalize(max(t, 0.0), policy)
+    return prior * suite.moment(i1, policy)
 
 
 @dataclass(frozen=True)
@@ -422,23 +435,15 @@ def assemble_effective_vector(
 ) -> EffectiveVector:
     """Fill a scheme over the 2n outcome/switch events with effective probabilities.
 
-    Each entry equals ``effective_probability`` of its outcome and switch
-    sets. Within one call, the rationalized trace of an outcome set and the
-    switch probability of a union are each computed once.
+    Each entry is ``effective_probability`` of its outcome and switch sets.
     """
     n = suite.n
     if scheme.n != 2 * n:
         raise SchemeMismatch(f"scheme must range over {2 * n} events (outcomes then switches)")
-    prior_of = cache(partial(switch_probability, dist))
-    trace_of = cache(partial(_rationalized_trace, suite, policy=policy))
-    values = {}
-    for s in scheme.sets:
-        i1 = frozenset(i for i in s if i <= n)
-        union = i1 | frozenset(i - n for i in s if i > n)
-        # The checks of effective_probability, in its order.
-        if union and union not in dist.structure:
-            values[s] = Fraction(0)
-            continue
-        prior = prior_of(union)
-        values[s] = prior * trace_of(i1) if prior != 0 and i1 else prior
+    values = {
+        s: effective_probability(
+            suite, dist, (i for i in s if i <= n), (i - n for i in s if i > n), policy
+        )
+        for s in scheme.sets
+    }
     return EffectiveVector(CorrelationVector(scheme, values), suite.names)

@@ -285,15 +285,15 @@ def cmd_simulate(args) -> int:
     suite = _load_suite(args.suite)
     raw = distribution_from_json(_load_json(args.dist), suite, policy)
     dist = validate_distribution(raw, compute_compatibility(suite))
-    if args.trials < 1:
-        raise KolmorepError("need at least one trial")
-    records = run(suite, dist, args.trials, args.seed, policy)
-
     if args.queries:
         queries = queries_from_json(_load_json(args.queries))
+        for outcomes, performed in queries:
+            for name in outcomes + performed:
+                suite.index(name)  # unknown names are errors, not zero frequencies
     else:
         queries = [((name,), ()) for name in suite.names]
         queries += [((), (name,)) for name in suite.names]
+    records = run(suite, dist, args.trials, args.seed, policy)
     estimates = estimate(records, queries)
 
     if args.format == "json":
@@ -399,9 +399,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command == "simulate" and args.trials < 1:
-        sys.stderr.write("error: --trials must be at least 1\n")
-        return 1
     try:
         return args.func(args)
     except IncompatibleSupport as exc:

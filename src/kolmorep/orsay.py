@@ -35,8 +35,9 @@ from .censorship import (
 from .ch import ch_scheme
 from .errors import InvalidDistribution, KolmorepError
 from .polytope import ConjunctionScheme, CorrelationVector
-from .quantum import born, direction, identity, singlet_density, spin_projector_up, tensor
-from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
+from .quantum import born  # noqa: F401  (unused here; perfbench's tracer test reads orsay.born)
+from .quantum import direction, identity, singlet_density, spin_projector_up, tensor
+from .rational import DEFAULT_POLICY, RationalizationPolicy
 
 MEASUREMENT_NAMES = ("A", "A'", "B", "B'")
 SWITCH_NAMES = ("a", "a'", "b", "b'")
@@ -102,13 +103,8 @@ def naked_vector(
     angle between its two directions.
     """
     suite = build_suite(cfg)
-    w = suite.density
-    values = {}
-    for i in range(1, 5):
-        values[frozenset({i})] = rationalize(born(w, [suite.proj(i)]), policy)
-    for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
-        values[frozenset({i, j})] = rationalize(born(w, [suite.proj(i), suite.proj(j)]), policy)
-    return CorrelationVector(ch_scheme(), values)
+    scheme = ch_scheme()
+    return CorrelationVector(scheme, {s: suite.moment(s, policy) for s in scheme.sets})
 
 
 def effective_pair_vector(
@@ -117,12 +113,10 @@ def effective_pair_vector(
     """Observed counterpart of the naked vector on the same cross-pair scheme."""
     suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
-    values = {}
-    for i in range(1, 5):
-        values[frozenset({i})] = effective_probability(suite, dist, {i}, (), policy)
-    for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
-        values[frozenset({i, j})] = effective_probability(suite, dist, {i, j}, (), policy)
-    return CorrelationVector(ch_scheme(), values)
+    scheme = ch_scheme()
+    return CorrelationVector(
+        scheme, {s: effective_probability(suite, dist, s, (), policy) for s in scheme.sets}
+    )
 
 
 def _pair_scheme() -> ConjunctionScheme:

@@ -41,10 +41,6 @@ def fr_sub(a, b):
     return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
 
 
-def fr_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def fr_to_float(a):
     return np.array([[float(x) for x in row] for row in a], dtype=complex)
 
@@ -121,13 +117,16 @@ def random_suite(rng: random.Random, dim: int, n: int):
     return suite, dens, projs
 
 
-def exact_context_mass(dens, projs, dim, members, bits):
-    """Oracle mass of one joint outcome: exact trace of the projector product."""
-    prod = fr_identity(dim)
-    for i, b in zip(members, bits):
-        p = projs[i - 1]
-        prod = fr_mul(prod, p if b else fr_sub(fr_identity(dim), p))
-    return fr_trace(fr_mul(dens, prod))
+def exact_context_mass(dens, projs, comps, members, bits):
+    """Oracle mass of one joint outcome: exact tr(W prod), where the product
+    takes P_i for a 1 bit and its complement ``comps[i - 1]`` = I - P_i for a 0 bit."""
+    factors = [(projs if b else comps)[i - 1] for i, b in zip(members, bits)]
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = fr_mul(prod, f)
+    dim = len(dens)
+    # The trace needs only the diagonal of W prod.
+    return sum((dens[i][k] * prod[k][i] for i in range(dim) for k in range(dim)), Fraction(0))
 
 
 def random_setup(
@@ -150,13 +149,14 @@ def random_censorship_case(rng: random.Random, dim_choices=(2, 4, 8), n_range=(2
         structure = compute_compatibility(suite)
         dist = random_setup(rng, structure)
         ok = True
+        comps = [fr_sub(fr_identity(dim), p) for p in projs]
         oracle = {}
         for context in dist.support:
             members = sorted(context)
             masses = []
             for mask in range(1 << len(members)):
                 bits = [(mask >> k) & 1 for k in range(len(members))]
-                value = exact_context_mass(dens, projs, dim, members, bits)
+                value = exact_context_mass(dens, projs, comps, members, bits)
                 if value.denominator > max_mass_den:
                     ok = False
                     break

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from kolmorep import (
     InvalidDistribution,
     KolmorepError,
     MeasurementSuite,
+    NumericalFailure,
     Operator,
+    RationalizationPolicy,
     SchemeMismatch,
     assemble_effective_vector,
     build_censored_space,
@@ -25,6 +28,7 @@ from kolmorep import (
     validate_distribution,
     verify_censorship,
 )
+from kolmorep import censorship
 from kolmorep.censorship import CensoredSpace
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
@@ -32,6 +36,9 @@ from kolmorep import orsay
 from helpers import random_censorship_case, random_setup, random_suite
 
 F = Fraction
+
+# Orsay angles (degrees) whose singlet masses are irrational.
+GENERIC_ANGLES = [(37, 0, 0, 200), (45, 0, 10, 100), (33, 71, 12, 250)]
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +132,41 @@ def test_switch_probability(orsay_setup):
     assert switch_probability(dist, set()) == F(1)
 
 
+# --- moments -------------------------------------------------------------------------
+
+def count_born_calls(monkeypatch):
+    calls = []
+    real_born = censorship.born
+
+    def counted(w, projectors):
+        calls.append(len(projectors))
+        return real_born(w, projectors)
+
+    monkeypatch.setattr(censorship, "born", counted)
+    return calls
+
+
+def test_moment_is_computed_once_per_set_and_policy(monkeypatch):
+    calls = count_born_calls(monkeypatch)
+    suite = diagonal_suite()
+    assert suite.moment(()) == 1
+    assert suite.moment({1, 2}) == F(1, 4)
+    assert suite.moment([2, 1]) == F(1, 4)
+    assert suite.moment({1, 2}, RationalizationPolicy(max_denominator=10)) == F(1, 4)
+    assert calls == [2, 2]  # none for the empty set
+
+
+def test_censor_pipeline_calls_born_once_per_compatible_set(monkeypatch):
+    calls = count_born_calls(monkeypatch)
+    cfg = orsay.OrsayConfig()
+    suite = orsay.build_suite(cfg)
+    dist = orsay.switch_distribution(cfg, suite)
+    censored = build_censored_space(suite, dist)
+    report = verify_censorship(censored, suite, dist, max_order=2 * suite.n)
+    assert report.ok and report.checked == 256
+    assert len(calls) == 8  # four singletons, four cross pairs
+
+
 # --- context spaces ---------------------------------------------------------------
 
 def test_context_space_masses(orsay_setup):
@@ -147,6 +189,29 @@ def test_context_space_rejects_incompatible(orsay_setup):
     suite, _ = orsay_setup
     with pytest.raises(IncompatibleContext):
         context_space({1, 2}, suite)
+
+
+def test_negative_derived_atom_is_a_numerical_failure():
+    w = Operator(np.diag([0.6, 0.2, 0.2, 0.0]), tags=("density",))
+    a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))
+    b = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [("A", a), ("B", b)])
+    coarse = RationalizationPolicy(tolerance=0.25, max_denominator=2)
+    assert [suite.moment(s, coarse) for s in ({1}, {2}, {1, 2})] == [1, 1, F(1, 2)]
+    # atom 00 = 1 - 1 - 1 + 1/2
+    with pytest.raises(NumericalFailure, match="negative atom -1/2"):
+        context_space({1, 2}, suite, coarse)
+
+
+@pytest.mark.parametrize("angles", GENERIC_ANGLES)
+def test_generic_angle_context_marginals_are_the_moments(angles):
+    suite = orsay.build_suite(orsay.OrsayConfig.from_degrees(angles))
+    for context in orsay.CONTEXTS:
+        local = context_space(context, suite)
+        members = sorted(context)
+        for r in range(len(members) + 1):  # r = 0: the atoms sum to one
+            for sub in combinations(members, r):
+                assert evaluate(local, [suite.name_of(i) for i in sub]) == suite.moment(sub)
 
 
 def test_context_space_event_sets(orsay_setup):

@@ -160,6 +160,26 @@ def test_orsay_custom_angles_and_weights(capsys):
     assert "naked" in payload
 
 
+@pytest.mark.parametrize("angles", ["37,0,0,200", "45,0,10,100", "33,71,12,250"])
+def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_path):
+    assert main(["--format", "json", "orsay", "--emit", "tables", "--angles", angles]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for cells in [t["cells"] for t in payload["contexts"]] + [payload["censored"]]:
+        assert sum(F(v) for v in cells.values()) == 1
+
+    cfg = OrsayConfig.from_degrees(angles.split(","))
+    suite = build_suite(cfg)
+    (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
+    dist = switch_distribution(cfg, suite)
+    (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, dist.weights)))
+    assert main([
+        "--format", "json", "censor", "--suite", str(tmp_path / "suite.json"),
+        "--dist", str(tmp_path / "dist.json"), "--full-order",
+    ]) == 0
+    verification = json.loads(capsys.readouterr().out)["verification"]
+    assert verification["checked"] == 256 and verification["mismatches"] == []
+
+
 def test_simulate_csv_and_seed_position(files, capsys):
     assert main([
         "--format", "csv", "simulate", "--suite", files["suite.json"],
@@ -180,6 +200,16 @@ def test_simulate_json_with_queries(files, capsys):
     assert payload["prng"] == "PCG64"
     assert payload["estimates"][0]["outcomes"] == ["A"]
     assert len(payload["records"]) == 50
+
+
+def test_simulate_rejects_unknown_query_names(files, capsys, tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"queries": [{"outcomes": ["Typo"]}]}))
+    assert main([
+        "simulate", "--suite", files["suite.json"], "--dist", files["dist.json"],
+        "--trials", "10", "--queries", str(path),
+    ]) == 1
+    assert "'Typo'" in capsys.readouterr().err
 
 
 def test_simulate_zero_trials_is_usage_error(files, capsys):
