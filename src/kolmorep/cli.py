@@ -1,5 +1,12 @@
 """Command-line entry point.
 
+Each subcommand except `simulate` returns ``(exit code, payload)``. The
+payload is the dict that ``--format json`` prints, with every number already
+formatted once; `main` alone picks the view, JSON or the command's text
+renderer, which reads only the payload. `simulate` writes its records
+itself (CSV, or JSON with ``--format json``, to stdout or ``-o``): one dict
+per trial only to print CSV would cost more than the CSV writer itself.
+
 Exit codes are a stable contract across subcommands:
 0 success / property holds, 2 negative verdict (outside the polytope,
 inequality violated, verification mismatches), 3 setup distribution puts
@@ -23,25 +30,11 @@ from .censorship import (
 )
 from .ch import ch_evaluate
 from .errors import IncompatibleSupport, KolmorepError
-from .polytope import (
-    ConjunctionScheme,
-    Inside,
-    Outside,
-    membership,
-    representation_from_weights,
-)
+from .polytope import ConjunctionScheme, Inside, Outside, membership, representation_from_weights
 from .rational import RationalizationPolicy, format_rational
 from .serialize import (
-    censored_space_to_json,
-    distribution_from_json,
-    estimates_to_json,
-    queries_from_json,
-    records_to_csv,
-    space_to_json,
-    suite_from_json,
-    vector_from_json,
-    vector_to_json,
-    weights_from_json,
+    censored_space_to_json, distribution_from_json, estimates_to_json, queries_from_json, records_to_csv,
+    space_to_json, suite_from_json, vector_from_json, vector_to_json, weights_from_json, weights_to_json,
 )
 from .simulation import PRNG_ALGORITHM, estimate, run
 
@@ -51,14 +44,14 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _write_artifact(path: str, obj) -> None:
+def _emit(text: str, path=None) -> None:
+    """Write `text`, newline-terminated, to stdout or else to a new file at `path`."""
+    text = text if text.endswith("\n") else text + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _policy(args) -> RationalizationPolicy:
@@ -69,14 +62,17 @@ def _policy(args) -> RationalizationPolicy:
     )
 
 
-def _load_suite(path: str):
-    suite = suite_from_json(_load_json(path))
+def _load_setup(args):
+    """Policy, suite and validated setup distribution from `--suite` and `--dist`."""
+    policy = _policy(args)
+    suite = suite_from_json(_load_json(args.suite))
     if suite.dim > 64:
         sys.stderr.write(
             f"warning: dim {suite.dim} is beyond the desk scale this tool targets; "
             "expect long runs\n"
         )
-    return suite
+    raw = distribution_from_json(_load_json(args.dist), suite, policy)
+    return policy, suite, validate_distribution(raw, compute_compatibility(suite))
 
 
 def _fmt_table(rows: list) -> str:
@@ -91,200 +87,172 @@ def _label(index_set) -> str:
     return "{" + ",".join(str(i) for i in sorted(index_set)) + "}"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     vec = vector_from_json(_load_json(args.vector), _policy(args))
     verdict = membership(vec, n_max=args.n_max)
     if isinstance(verdict, Inside):
-        if args.format == "json":
-            _emit(json.dumps({
-                "verdict": "inside",
-                "weights": [
-                    {"eps": list(bits), "p": format_rational(w)}
-                    for bits, w in sorted(verdict.weights.items())
-                ],
-            }, indent=2))
-        else:
-            _emit("Inside: the vector is a mixture of deterministic assignments")
-            rows = [["assignment", "weight"]]
-            rows += [
-                ["".join(str(b) for b in bits), format_rational(w)]
-                for bits, w in sorted(verdict.weights.items())
-            ]
-            _emit(_fmt_table(rows))
-        return 0
+        return 0, {"verdict": "inside", "weights": weights_to_json(vec.scheme.n, verdict.weights)["weights"]}
     assert isinstance(verdict, Outside)
-    if args.format == "json":
-        _emit(json.dumps({
-            "verdict": "outside",
-            "certificate": [
-                {"I": sorted(s), "c": format_rational(c)}
-                for s, c in sorted(verdict.certificate.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            ],
-            "offset": format_rational(verdict.offset),
-            "gap": format_rational(verdict.gap(vec)),
-        }, indent=2))
-    else:
-        _emit("Outside: separating functional (non-positive on every vertex)")
-        rows = [["conjunction", "coefficient"]]
-        rows += [
-            [_label(s), format_rational(c)]
+    return 2, {
+        "verdict": "outside",
+        "certificate": [
+            {"I": sorted(s), "c": format_rational(c)}
             for s, c in sorted(verdict.certificate.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        ]
-        rows.append(["offset", format_rational(verdict.offset)])
-        _emit(_fmt_table(rows))
-        _emit(f"value on this vector: {format_rational(verdict.gap(vec))} > 0")
-    return 2
+        ],
+        "offset": format_rational(verdict.offset),
+        "gap": format_rational(verdict.gap(vec)),
+    }
 
 
-def cmd_ch(args) -> int:
-    vec = vector_from_json(_load_json(args.vector), _policy(args))
-    report = ch_evaluate(vec)
-    if args.format == "json":
-        _emit(json.dumps({
-            "satisfied": report.satisfied,
-            "inequalities": [
-                {
-                    "label": r.label,
-                    "value": format_rational(r.value),
-                    "lower": None if r.lower is None else format_rational(r.lower),
-                    "upper": None if r.upper is None else format_rational(r.upper),
-                    "satisfied": r.satisfied,
-                    "slack": format_rational(r.slack),
-                }
-                for r in report.inequalities
-            ],
-        }, indent=2))
-    else:
-        rows = [["inequality", "value", "ok", "slack"]]
-        rows += [
-            [r.label, format_rational(r.value), "yes" if r.satisfied else "NO", format_rational(r.slack)]
+def text_check(payload, args) -> str:
+    if payload["verdict"] == "inside":
+        rows = [["assignment", "weight"]]
+        rows += [["".join(map(str, w["eps"])), w["p"]] for w in payload["weights"]]
+        return "Inside: the vector is a mixture of deterministic assignments\n" + _fmt_table(rows)
+    rows = [["conjunction", "coefficient"]]
+    rows += [[_label(c["I"]), c["c"]] for c in payload["certificate"]]
+    rows.append(["offset", payload["offset"]])
+    return (
+        "Outside: separating functional (non-positive on every vertex)\n"
+        f"{_fmt_table(rows)}\nvalue on this vector: {payload['gap']} > 0"
+    )
+
+
+def cmd_ch(args):
+    report = ch_evaluate(vector_from_json(_load_json(args.vector), _policy(args)))
+    return (0 if report.satisfied else 2), {
+        "satisfied": report.satisfied,
+        "inequalities": [
+            {
+                "label": r.label,
+                "value": format_rational(r.value),
+                "lower": None if r.lower is None else format_rational(r.lower),
+                "upper": None if r.upper is None else format_rational(r.upper),
+                "satisfied": r.satisfied,
+                "slack": format_rational(r.slack),
+            }
             for r in report.inequalities
-        ]
-        _emit(_fmt_table(rows))
-        _emit(f"overall: {'satisfied' if report.satisfied else 'violated'}")
-    return 0 if report.satisfied else 2
+        ],
+    }
 
 
-def cmd_represent(args) -> int:
+def text_ch(payload, args) -> str:
+    rows = [["inequality", "value", "ok", "slack"]]
+    rows += [
+        [r["label"], r["value"], "yes" if r["satisfied"] else "NO", r["slack"]]
+        for r in payload["inequalities"]
+    ]
+    return f"{_fmt_table(rows)}\noverall: {'satisfied' if payload['satisfied'] else 'violated'}"
+
+
+def cmd_represent(args):
     n, weights = weights_from_json(_load_json(args.weights), _policy(args))
-    scheme = ConjunctionScheme.singletons(n)
-    space = representation_from_weights(weights, scheme)
-    payload = space_to_json(space)
+    payload = space_to_json(representation_from_weights(weights, ConjunctionScheme.singletons(n)))
     if args.output:
-        _write_artifact(args.output, payload)
-    if args.format == "json" or not args.output:
-        _emit(json.dumps(payload, indent=2))
-    else:
-        _emit(f"wrote probability space with {len(space.points)} points to {args.output}")
-    return 0
+        _emit(json.dumps(payload, indent=2), args.output)
+    return 0, payload
 
 
-def cmd_censor(args) -> int:
-    policy = _policy(args)
-    suite = _load_suite(args.suite)
-    raw = distribution_from_json(_load_json(args.dist), suite, policy)
-    structure = compute_compatibility(suite)
-    dist = validate_distribution(raw, structure)
+def text_represent(payload, args) -> str:
+    if not args.output:
+        return json.dumps(payload, indent=2)
+    return f"wrote probability space with {len(payload['points'])} points to {args.output}"
+
+
+def cmd_censor(args):
+    policy, suite, dist = _load_setup(args)
     censored = build_censored_space(suite, dist, policy)
     max_order = 2 * suite.n if args.full_order else args.max_order
     report = verify_censorship(censored, suite, dist, max_order, policy)
 
-    payload = censored_space_to_json(censored)
+    space = censored_space_to_json(censored)
     if args.output:
-        _write_artifact(args.output, payload)
-    if args.format == "json":
-        _emit(json.dumps({
-            "space": payload,
-            "verification": {
-                "checked": report.checked,
-                "max_order": report.max_order,
-                "mismatches": [
-                    {
-                        "outcomes": list(m.outcomes),
-                        "switches": list(m.switches),
-                        "expected": format_rational(m.expected),
-                        "found": format_rational(m.found),
-                    }
-                    for m in report.mismatches
-                ],
-            },
-        }, indent=2))
-    else:
-        _emit(f"censored space: {len(censored.space.points)} points over {len(dist.support)} contexts")
-        _emit(f"verification: {report.checked} event pairs checked up to order {report.max_order}, "
-              f"{len(report.mismatches)} mismatches")
-        for m in report.mismatches:
-            _emit(f"  outcomes {m.outcomes} switches {m.switches}: "
-                  f"space {format_rational(m.found)} vs effective {format_rational(m.expected)}")
-    return 0 if report.ok else 2
+        _emit(json.dumps(space, indent=2), args.output)
+    return (0 if report.ok else 2), {
+        "space": space,
+        "verification": {
+            "checked": report.checked,
+            "max_order": report.max_order,
+            "mismatches": [
+                {"outcomes": list(m.outcomes), "switches": list(m.switches),
+                 "expected": format_rational(m.expected), "found": format_rational(m.found)}
+                for m in report.mismatches
+            ],
+        },
+    }
 
 
-def _render_context_table(table) -> str:
-    rows = [["", *table.cols]]
-    for r in table.rows:
-        rows.append([r, *(format_rational(table.cells[(r, c)]) for c in table.cols)])
-    pretty = _fmt_table(rows).replace("!", "¬")
-    return f"context {table.label}\n{pretty}"
+def text_censor(payload, args) -> str:
+    points = payload["space"]["points"]
+    contexts = {p["id"].rpartition("|")[0] for p in points}  # ids are "<context>|<bits>"
+    v = payload["verification"]
+    lines = [
+        f"censored space: {len(points)} points over {len(contexts)} contexts",
+        f"verification: {v['checked']} event pairs checked up to order {v['max_order']}, "
+        f"{len(v['mismatches'])} mismatches",
+    ]
+    lines += [
+        f"  outcomes {tuple(m['outcomes'])} switches {tuple(m['switches'])}: "
+        f"space {m['found']} vs effective {m['expected']}"
+        for m in v["mismatches"]
+    ]
+    return "\n".join(lines)
 
 
-def cmd_orsay(args) -> int:
-    weights = None
-    if args.weights:
-        weights = [Fraction(w) for w in args.weights.split(",")]
+def cmd_orsay(args):
+    weights = [Fraction(w) for w in args.weights.split(",")] if args.weights else None
     angles = [float(x) for x in args.angles.split(",")] if args.angles else orsay_mod.DEFAULT_ANGLES_DEG
     cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights)
     policy = _policy(args)
 
     out = {}
-    blocks = []
     if args.emit in ("vectors", "all"):
-        naked = orsay_mod.naked_vector(cfg, policy)
+        out["naked"] = vector_to_json(orsay_mod.naked_vector(cfg, policy))
         effective = orsay_mod.effective_vector(cfg, policy=policy)
-        out["naked"] = vector_to_json(naked)
-        eff_json = vector_to_json(effective.vector)
-        eff_json["events"] = [effective.label(i) for i in range(1, 9)]
-        out["effective"] = eff_json
-        rows = [["conjunction", "naked"]]
-        rows += [[_label(s), format_rational(v)] for s, v in naked.items()]
-        blocks.append("naked (conditional) vector\n" + _fmt_table(rows))
-        rows = [["events", "effective"]]
-        rows += [
-            ["&".join(effective.label(i) for i in sorted(s)), format_rational(v)]
-            for s, v in effective.vector.items()
-        ]
-        blocks.append("effective vector over outcomes and switches\n" + _fmt_table(rows))
+        out["effective"] = vector_to_json(effective.vector)
+        out["effective"]["events"] = [effective.label(i) for i in range(1, 9)]
     if args.emit in ("tables", "all"):
         tab = orsay_mod.tables(cfg, policy)
-        out["contexts"] = [
-            {
-                "label": t.label,
-                "cells": {f"{r}|{c}": format_rational(t.cells[(r, c)]) for r in t.rows for c in t.cols},
-            }
-            for t in tab.context_tables
+        out["contexts"] = [{"label": t.label, "cells": _cells(t.cells)} for t in tab.context_tables]
+        out["censored"] = _cells(tab.censored_cells)
+    return 0, out
+
+
+def _cells(cells: dict) -> dict:
+    """(row, col)-keyed table cells as "row|col" keys, in the table's row-major order."""
+    return {f"{r}|{c}": format_rational(v) for (r, c), v in cells.items()}
+
+
+def _grid(cells: dict) -> str:
+    """Table of "row|col" cells; rows and columns in first-seen key order."""
+    keys = [key.split("|") for key in cells]
+    rows = dict.fromkeys(r for r, _ in keys)
+    cols = list(dict.fromkeys(c for _, c in keys))
+    table = [["", *cols]] + [[r, *(cells[f"{r}|{c}"] for c in cols)] for r in rows]
+    return _fmt_table(table).replace("!", "¬")
+
+
+def text_orsay(payload, args) -> str:
+    blocks = []
+    if "naked" in payload:
+        rows = [["conjunction", "naked"]]
+        rows += [[_label(e["I"]), e["p"]] for e in payload["naked"]["entries"]]
+        blocks.append("naked (conditional) vector\n" + _fmt_table(rows))
+        events = payload["effective"]["events"]
+        rows = [["events", "effective"]]
+        rows += [
+            ["&".join(events[i - 1] for i in e["I"]), e["p"]]
+            for e in payload["effective"]["entries"]
         ]
-        out["censored"] = {
-            f"{r}|{c}": format_rational(tab.censored_cells[(r, c)])
-            for r in tab.censored_rows
-            for c in tab.censored_cols
-        }
-        blocks += [_render_context_table(t) for t in tab.context_tables]
-        rows = [["", *tab.censored_cols]]
-        for r in tab.censored_rows:
-            rows.append([r, *(format_rational(tab.censored_cells[(r, c)]) for c in tab.censored_cols)])
-        blocks.append("censored space\n" + _fmt_table(rows).replace("!", "¬"))
-
-    if args.format == "json":
-        _emit(json.dumps(out, indent=2))
-    else:
-        _emit("\n\n".join(blocks))
-    return 0
+        blocks.append("effective vector over outcomes and switches\n" + _fmt_table(rows))
+    if "contexts" in payload:
+        blocks += [f"context {t['label']}\n{_grid(t['cells'])}" for t in payload["contexts"]]
+        blocks.append("censored space\n" + _grid(payload["censored"]))
+    return "\n\n".join(blocks)
 
 
-def cmd_simulate(args) -> int:
-    policy = _policy(args)
-    suite = _load_suite(args.suite)
-    raw = distribution_from_json(_load_json(args.dist), suite, policy)
-    dist = validate_distribution(raw, compute_compatibility(suite))
+def cmd_simulate(args):
+    policy, suite, dist = _load_setup(args)
     if args.queries:
         queries = queries_from_json(_load_json(args.queries))
         for outcomes, performed in queries:
@@ -302,23 +270,17 @@ def cmd_simulate(args) -> int:
             {"trial": r.trial, "context": list(r.context), "bits": "".join(map(str, r.bits))}
             for r in records
         ]
-        text = json.dumps(payload, indent=2)
-    else:
-        text = records_to_csv(records, args.seed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        _emit(text)
-    if args.format != "json":
-        rows = [["outcomes", "performed", "frequency", "stderr"]]
-        rows += [
-            ["&".join(e.outcomes) or "-", "&".join(e.performed) or "-", f"{e.frequency:.6f}", f"{e.stderr:.6f}"]
-            for e in estimates
-        ]
-        _emit(f"# estimates over {args.trials} trials ({PRNG_ALGORITHM} seed {args.seed})")
-        _emit(_fmt_table(rows))
-    return 0
+        _emit(json.dumps(payload, indent=2), args.output)
+        return 0, None
+    _emit(records_to_csv(records, args.seed), args.output)
+    rows = [["outcomes", "performed", "frequency", "stderr"]]
+    rows += [
+        ["&".join(e.outcomes) or "-", "&".join(e.performed) or "-", f"{e.frequency:.6f}", f"{e.stderr:.6f}"]
+        for e in estimates
+    ]
+    _emit(f"# estimates over {args.trials} trials ({PRNG_ALGORITHM} seed {args.seed})")
+    _emit(_fmt_table(rows))
+    return 0, None
 
 
 def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -356,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector", help="correlation vector JSON file")
     p.add_argument("--n-max", type=int, default=16,
                    help="guard on the event count (2^n columns)")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, text=text_check)
 
     p = sub.add_parser("ch", parents=[override], help="evaluate the 4-event Clauser-Horne system")
     p.add_argument("vector", help="correlation vector JSON file")
-    p.set_defaults(func=cmd_ch)
+    p.set_defaults(func=cmd_ch, text=text_ch)
 
     p = sub.add_parser("represent", parents=[override], help="build a probability space from vertex weights")
     p.add_argument("weights", help="weights JSON file")
     p.add_argument("-o", "--output", help="write the space JSON here")
-    p.set_defaults(func=cmd_represent)
+    p.set_defaults(func=cmd_represent, text=text_represent)
 
     p = sub.add_parser("censor", parents=[override], help="build and verify the censored space of a suite")
     p.add_argument("--suite", required=True, help="measurement suite JSON file")
@@ -374,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=None,
                    help="largest |I1 u I2| verified (default min(2n, 8))")
     p.add_argument("--full-order", action="store_true", help="verify all event pairs")
-    p.set_defaults(func=cmd_censor)
+    p.set_defaults(func=cmd_censor, text=text_censor)
 
     p = sub.add_parser("orsay", parents=[override], help="singlet switch scenario: vectors and tables")
     p.add_argument("--angles", help="degrees for a,a',b,b' (default 120,0,0,240)")
     p.add_argument("--weights", help="four context weights, e.g. 1/4,1/4,1/4,1/4")
     p.add_argument("--emit", choices=("tables", "vectors", "all"), default="all")
-    p.set_defaults(func=cmd_orsay)
+    p.set_defaults(func=cmd_orsay, text=text_orsay)
 
     p = sub.add_parser("simulate", parents=[override], help="sample switch choices and outcomes")
     p.add_argument("--suite", required=True, help="measurement suite JSON file")
@@ -400,20 +362,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code, payload = args.func(args)
+        if payload is not None:
+            _emit(json.dumps(payload, indent=2) if args.format == "json" else args.text(payload, args))
+        return code
     except IncompatibleSupport as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except KolmorepError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: invalid JSON: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (KolmorepError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

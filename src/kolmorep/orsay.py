@@ -166,7 +166,7 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
     The big table arranges the disjoint-union atoms on a grid: rows by the
     left-side outcome (A, !A, A', !A'), columns by the right-side outcome
     (B, !B, B', !B'); each cell is the mass of the atom of the matching
-    context with the matching outcome bits.
+    context with the matching outcome bits, or 0 if that context has no weight.
     """
     suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
@@ -187,6 +187,7 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
     censored = build_censored_space(suite, dist, policy)
     rows = ("A", "!A", "A'", "!A'")
     cols = ("B", "!B", "B'", "!B'")
+    support = set(dist.support)
     cells = {}
     for row in rows:
         left = row.lstrip("!")
@@ -194,6 +195,8 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
         for col in cols:
             right = col.lstrip("!")
             rbit = "0" if col.startswith("!") else "1"
-            point = f"{left},{right}|{lbit}{rbit}"
-            cells[(row, col)] = censored.space.mass[point]
+            if frozenset({suite.index(left), suite.index(right)}) in support:
+                cells[(row, col)] = censored.space.mass[f"{left},{right}|{lbit}{rbit}"]
+            else:  # a zero-weight context contributes no points
+                cells[(row, col)] = Fraction(0)
     return OrsayTables(tuple(context_tables), rows, cols, cells, censored)

@@ -14,8 +14,10 @@ re-parses to exactly the value that produced it):
 
 Values in "p"/"weight"/"mass" positions may be fraction strings, decimal
 strings, integers, or floats; floats are identified with exact fractions
-under the active rationalization policy. In vector entries, a bare integer
-"I" is accepted as shorthand for a one-element set.
+under the active rationalization policy. Indices in "I" and bits in "eps"
+must be JSON integers (not floats or booleans); in vector entries, a bare
+integer "I" is accepted as shorthand for a one-element set. A repeated index
+set, assignment or context is an error.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ def _expect(obj, key, kind, where):
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
+
+
+def _integers(values: list, where: str, key: str) -> list:
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise SchemaError(f"{where}: {key!r} entries must be integers")
+    return values
 
 
 # --- matrices -------------------------------------------------------------
@@ -92,7 +100,7 @@ def vector_from_json(
             raw = [raw]
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{where}: 'I' must be a non-empty index list")
-        key = frozenset(int(i) for i in raw)
+        key = frozenset(_integers(raw, where, "I"))
         if key in values:
             raise SchemaError(f"{where}: duplicate index set {sorted(key)}")
         values[key] = parse_rational(_expect(entry, "p", None, where), policy)
@@ -118,8 +126,9 @@ def weights_from_json(obj, policy: RationalizationPolicy = DEFAULT_POLICY):
     out = {}
     for k, entry in enumerate(items):
         where = f"weights entry {k}"
-        eps = _expect(entry, "eps", list, where)
-        bits = tuple(int(b) for b in eps)
+        bits = tuple(_integers(_expect(entry, "eps", list, where), where, "eps"))
+        if bits in out:
+            raise SchemaError(f"{where}: duplicate assignment {list(bits)}")
         out[bits] = parse_rational(_expect(entry, "p", None, where), policy)
     return n, out
 

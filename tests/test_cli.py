@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from kolmorep.cli import main
+from kolmorep import cli
+from kolmorep.censorship import VerificationMismatch, VerificationReport
+from kolmorep.cli import build_parser, main
 from kolmorep.orsay import (
     OrsayConfig,
     build_suite,
@@ -178,6 +180,48 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
     ]) == 0
     verification = json.loads(capsys.readouterr().out)["verification"]
     assert verification["checked"] == 256 and verification["mismatches"] == []
+
+
+def test_orsay_tables_with_a_zero_weight_context(capsys):
+    argv = ["--format", "json", "orsay", "--emit", "tables", "--weights", "1/2,1/4,1/4,0"]
+    assert main(argv) == 0
+    censored = json.loads(capsys.readouterr().out)["censored"]
+    assert sum(F(v) for v in censored.values()) == 1
+    assert [censored[f"{r}|{c}"] for r in ("A'", "!A'") for c in ("B'", "!B'")] == ["0"] * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "naked.json"],
+    ["ch", "effective.json"],
+    ["represent", "weights.json"],
+    ["represent", "weights.json", "-o", "space.json"],
+    ["censor", "--suite", "suite.json", "--dist", "dist.json"],
+    ["orsay", "--emit", "all", "--angles", "37,0,0,200"],
+])
+def test_text_view_renders_the_json_payload(argv, files, capsys, monkeypatch):
+    monkeypatch.chdir(files["root"])
+    assert main(["--format", "json", *argv]) == main(argv)
+    payload, text = capsys.readouterr().out.split("\n}\n", 1)
+    args = build_parser().parse_args(argv)
+    assert args.text(json.loads(payload + "}"), args) + "\n" == text
+
+
+def test_censor_text_lists_mismatches(files, capsys, monkeypatch):
+    mismatch = VerificationMismatch((1,), (1, 3), F(1, 8), F(1, 4))
+    monkeypatch.setattr(cli, "verify_censorship", lambda *a: VerificationReport(4, 2, (mismatch,)))
+    assert main(["censor", "--suite", files["suite.json"], "--dist", files["dist.json"]]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "verification: 4 event pairs checked up to order 2, 1 mismatches",
+        "  outcomes (1,) switches (1, 3): space 1/4 vs effective 1/8",
+    ]
+
+
+def test_os_errors_are_exit_1(files, capsys, tmp_path):
+    assert main(["check", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["represent", files["weights.json"], "-o", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_simulate_csv_and_seed_position(files, capsys):

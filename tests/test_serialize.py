@@ -132,6 +132,12 @@ def test_vector_schema_errors():
         vector_from_json({"n": 1, "entries": [{"I": [4], "p": 1}]})
 
 
+@pytest.mark.parametrize("index", [[1.7], [1, 2.0], [True], True, ["1"]])
+def test_vector_rejects_non_integer_indices(index):
+    with pytest.raises(SchemaError, match="integers"):
+        vector_from_json({"n": 2, "entries": [{"I": index, "p": "1/2"}]})
+
+
 # --- weights -----------------------------------------------------------------------
 
 def test_weights_round_trip():
@@ -139,6 +145,20 @@ def test_weights_round_trip():
     n, again = weights_from_json(weights_to_json(2, weights))
     assert n == 2
     assert again == weights
+
+
+def test_weights_reject_duplicate_assignments():
+    obj = {"n": 1, "weights": [
+        {"eps": [1], "p": "1/2"}, {"eps": [0], "p": "1/2"}, {"eps": [1], "p": "1/2"},
+    ]}
+    with pytest.raises(SchemaError, match="duplicate"):
+        weights_from_json(obj)
+
+
+@pytest.mark.parametrize("eps", [[0.5, 1], [1, 1.0], [False, 1], ["0", 1]])
+def test_weights_reject_non_integer_bits(eps):
+    with pytest.raises(SchemaError, match="integers"):
+        weights_from_json({"n": 2, "weights": [{"eps": eps, "p": 1}]})
 
 
 # --- suites and distributions ---------------------------------------------------------
