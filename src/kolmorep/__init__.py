@@ -20,6 +20,7 @@ from .censorship import (
     build_censored_space,
     compute_compatibility,
     context_space,
+    effective_decomposition,
     effective_probability,
     switch_probability,
     validate_distribution,

@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from math import comb, lcm
+from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from . import quantum
 from .errors import (
@@ -34,12 +37,17 @@ from .errors import (
     KolmorepError,
     NumericalFailure,
     SchemeMismatch,
+    TooLarge,
+    UnknownEvent,
 )
-from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace, evaluate
+from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, _bits, _mask
 from .quantum import Operator, born, commutes
 from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
+from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
+MAX_VERIFIED_N = 11  # the 4^n joint measures live in one array: 32 MB of int64 at n = 11
+_BLOCK = 1 << 12  # entries per block of the comparison: its temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,14 @@ class MeasurementSuite:
         numerical failure; smaller negative noise is clamped to 0 before
         rationalization.
         """
-        key = (frozenset(index_set), policy)
+        mask = _mask(index_set)
+        key = (mask, policy)
         value = self._moments.get(key)
         if value is None:
-            if not key[0]:
+            if not mask:
                 value = Fraction(1)
             else:
-                t = born(self.density, [self.proj(i) for i in sorted(key[0])])
+                t = born(self.density, [self.proj(i) for i in _members(mask)])
                 if t < -quantum.TAU_PROB:
                     raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
                 value = rationalize(max(t, 0.0), policy)
@@ -154,13 +163,11 @@ class CompatibilityStructure:
 def compute_compatibility(suite: MeasurementSuite) -> CompatibilityStructure:
     """Enumerate every subset whose projectors pairwise commute."""
     n = suite.n
-    pair_ok = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        pair_ok[(i, j)] = commutes(suite.proj(i), suite.proj(j))
+    pair_ok = {(i, j): commutes(suite.proj(i), suite.proj(j)) for i, j in combinations(range(1, n + 1), 2)}
     sets = set()
     for mask in range(1, 1 << n):
-        members = [i for i in range(1, n + 1) if mask & (1 << (i - 1))]
-        if all(pair_ok[(i, j)] for i, j in combinations(members, 2)):
+        members = _members(mask)
+        if all(pair_ok[pair] for pair in combinations(members, 2)):
             sets.add(frozenset(members))
     return CompatibilityStructure(n, frozenset(sets))
 
@@ -174,9 +181,7 @@ class SetupDistribution:
 
     @property
     def support(self) -> tuple:
-        return tuple(
-            sorted((j for j, w in self.weights.items() if w > 0), key=sorted)
-        )
+        return tuple(sorted((j for j, w in self.weights.items() if w > 0), key=sorted))
 
 
 def validate_distribution(
@@ -207,9 +212,7 @@ def validate_distribution(
 def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fraction:
     """Probability that every switch in the set is on: total weight of covering contexts."""
     wanted = frozenset(index_set)
-    return sum(
-        (w for j, w in dist.weights.items() if wanted <= j and w > 0), Fraction(0)
-    )
+    return sum((w for j, w in dist.weights.items() if wanted <= j and w > 0), Fraction(0))
 
 
 def context_space(
@@ -258,9 +261,7 @@ def context_space(
     masses = [mass[sum(b << pos for pos, b in enumerate(bits))] for bits in point_bits]
     ids = tuple("".join(str(b) for b in bits) for bits in point_bits)
     events = {
-        suite.name_of(i): frozenset(
-            pid for pid, bits in zip(ids, point_bits) if bits[pos]
-        )
+        suite.name_of(i): frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos])
         for pos, i in enumerate(members)
     }
     return KolmogorovSpace(ids, dict(zip(ids, masses)), events)
@@ -280,8 +281,7 @@ def effective_probability(
     host them.
     """
     i1 = frozenset(outcomes)
-    i2 = frozenset(switches)
-    union = i1 | i2
+    union = i1 | frozenset(switches)
     if union and union not in dist.structure:
         return Fraction(0)
     prior = switch_probability(dist, union)
@@ -305,10 +305,6 @@ class CensoredSpace:
     switch_events: Mapping  # measurement name -> event key
 
 
-def _context_label(suite: MeasurementSuite, members: Sequence[int]) -> str:
-    return ",".join(suite.name_of(i) for i in members)
-
-
 def build_censored_space(
     suite: MeasurementSuite,
     dist: SetupDistribution,
@@ -326,7 +322,7 @@ def build_censored_space(
 
     for context in dist.support:
         members = sorted(context)
-        label = _context_label(suite, members)
+        label = ",".join(suite.name_of(i) for i in members)
         local = context_space(context, suite, policy)
         kappa = dist.weights[context]
         for pid in local.points:
@@ -339,16 +335,10 @@ def build_censored_space(
                 if pid[pos] == "1":
                     outcome_sets[name].add(full_id)
 
-    events = {}
-    outcome_keys = {}
-    switch_keys = {}
-    for name in suite.names:
-        okey = name
-        skey = f"{SWITCH_EVENT_PREFIX}{name}"
-        outcome_keys[name] = okey
-        switch_keys[name] = skey
-        events[okey] = frozenset(outcome_sets[name])
-        events[skey] = frozenset(switch_sets[name])
+    outcome_keys = {name: name for name in suite.names}
+    switch_keys = {name: f"{SWITCH_EVENT_PREFIX}{name}" for name in suite.names}
+    events = {outcome_keys[x]: frozenset(outcome_sets[x]) for x in suite.names}
+    events.update((switch_keys[x], frozenset(switch_sets[x])) for x in suite.names)
     if len(events) != 2 * suite.n:
         raise KolmorepError("measurement names collide with switch event keys")
 
@@ -375,6 +365,53 @@ class VerificationReport:
         return not self.mismatches
 
 
+def _members(mask: int) -> tuple:
+    """Sorted 1-based indices of the bits set in a mask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _superset_sums(a: np.ndarray, bits: int) -> np.ndarray:
+    """In place over 2^bits entries: a[S] becomes the sum of a[T] over every T containing S."""
+    for b in range(bits):
+        half = a.reshape(-1, 2, 1 << b)
+        half[:, 0] += half[:, 1]
+    return a
+
+
+def _scaled(values: list) -> tuple:
+    """Common denominator of some fractions and their numerators over it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _point_weights(censored: CensoredSpace, suite: MeasurementSuite) -> tuple:
+    """Common denominator and the scaled masses per 2n-bit event mask, read off the events only."""
+    space = censored.space
+    keys = [censored.outcome_events[x] for x in suite.names] + [censored.switch_events[x] for x in suite.names]
+    masks = dict.fromkeys(space.points, 0)
+    for bit, key in enumerate(keys):
+        if key not in space.events:
+            raise UnknownEvent(f"no event named {key!r}")
+        for pid in space.events[key]:
+            masks[pid] |= 1 << bit
+    den, masses = _scaled([space.mass[pid] for pid in space.points])
+    weights = dict.fromkeys(masks.values(), 0)
+    for mask, w in zip(masks.values(), masses):
+        weights[mask] += w
+    return den, weights
+
+
+def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) -> Inside:
+    """The censored space as weights on 2n-bit assignments, outcomes first like ``EffectiveVector``.
+
+    Point (J, eps) sets outcome bit i when i is in J and eps_i = 1, switch bit i
+    when i is in J. When the space verifies, this is an Inside witness for any
+    scheme over the 2n events, found without a linear program.
+    """
+    den, weights = _point_weights(censored, suite)
+    return Inside({_bits(mask, 2 * suite.n): Fraction(w, den) for mask, w in sorted(weights.items()) if w})
+
+
 def verify_censorship(
     censored: CensoredSpace,
     suite: MeasurementSuite,
@@ -385,30 +422,59 @@ def verify_censorship(
     """Compare every joint event measure against its effective probability.
 
     Runs over all pairs (I1, I2) of outcome and switch index sets with
-    |I1 union I2| <= max_order (default min(2n, 8); pass 2n for full order).
-    Mismatches are collected, not raised.
+    |I1 union I2| <= max_order (at least 1; default 2n, every pair), for at
+    most ``MAX_VERIFIED_N`` measurements. Mismatches are collected, not
+    raised, ordered by I1 and then I2, each by size and then lexicographically.
+
+    Both sides are exact integer arrays over (switch mask, outcome mask).
+    Found: superset sums of ``effective_decomposition``'s weights. Expected:
+    sw[I1 | I2] * m[I1], with sw the superset sums of the context weights and
+    m the suite's moments. They are cross-multiplied a block of rows at a time.
     """
     n = suite.n
-    if max_order is None:
-        max_order = min(2 * n, 8)
-    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+    max_order = 2 * n if max_order is None else max_order
+    if max_order < 1:
+        raise KolmorepError(f"max_order must be at least 1, got {max_order}")
+    if n > MAX_VERIFIED_N:
+        raise TooLarge(f"{n} measurements means 4^{n} event pairs; at most {MAX_VERIFIED_N} are verified")
+    size = 1 << n
 
-    checked = 0
-    mismatches = []
-    for i1 in subsets:
-        for i2 in subsets:
-            if len(i1 | i2) > max_order:
-                continue
-            checked += 1
-            names = [censored.outcome_events[suite.name_of(i)] for i in sorted(i1)]
-            names += [censored.switch_events[suite.name_of(j)] for j in sorted(i2)]
-            found = evaluate(censored.space, names)
-            expected = effective_probability(suite, dist, i1, i2, policy)
-            if found != expected:
-                mismatches.append(
-                    VerificationMismatch(tuple(sorted(i1)), tuple(sorted(i2)), expected, found)
-                )
-    return VerificationReport(checked, max_order, tuple(mismatches))
+    den, point_weights = _point_weights(censored, suite)
+    kden, kappas = _scaled([dist.weights[j] for j in dist.support])
+    contexts = [_mask(j) for j in dist.support]
+    # The moments that effective probabilities up to max_order ask for.
+    popcount = np.array([u.bit_count() for u in range(size)])
+    covered = np.zeros(size, dtype=bool)
+    covered[contexts] = True
+    needed = np.flatnonzero(_superset_sums(covered, n) & (popcount <= max_order)).tolist()
+    mden, moments = _scaled([suite.moment(_members(u), policy) for u in needed])
+
+    # Found entries are at most den, sw entries at most the weight total.
+    peak = den * max(kden, sum(kappas)) * max(moments, default=1)
+    dtype = np.int64 if peak <= _INT64_MAX else object
+    found, sw, m = (np.zeros(k, dtype=dtype) for k in (size * size, size, size))
+    found[list(point_weights)] = list(point_weights.values())
+    table = _superset_sums(found, 2 * n).reshape(size, size)
+    sw[contexts] = kappas
+    _superset_sums(sw, n)
+    m[needed] = moments
+
+    scale, rows, hits = kden * mden, max(1, _BLOCK >> n), []
+    for start in range(0, size, rows):
+        union = np.arange(start, min(start + rows, size))[:, None] | np.arange(size)
+        bad = table[start:start + rows] * scale != sw[union] * m * den
+        if max_order < n:
+            bad &= popcount[union] <= max_order
+        s, o = np.nonzero(bad)
+        hits += zip((s + start).tolist(), o.tolist())
+    hits.sort(key=lambda so: (so[1].bit_count(), _members(so[1]), so[0].bit_count(), _members(so[0])))
+    mismatches = tuple(
+        VerificationMismatch(_members(o), _members(s), Fraction(int(sw[o | s]) * int(m[o]), scale),
+                             Fraction(int(table[s, o]), den))
+        for s, o in hits
+    )
+    checked = sum(comb(n, k) * 3**k for k in range(min(max_order, n) + 1))
+    return VerificationReport(checked, max_order, mismatches)
 
 
 @dataclass(frozen=True)

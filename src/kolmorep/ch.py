@@ -60,19 +60,12 @@ class ChReport:
 
 
 def _record(label: str, value: Fraction, lower, upper) -> ChInequality:
-    violations = []
-    if lower is not None and value < lower:
-        violations.append(lower - value)
-    if upper is not None and value > upper:
-        violations.append(value - upper)
-    if violations:
-        return ChInequality(label, value, lower, upper, False, -max(violations))
-    margins = []
-    if lower is not None:
-        margins.append(value - lower)
-    if upper is not None:
-        margins.append(upper - value)
-    return ChInequality(label, value, lower, upper, True, min(margins))
+    # Bounds have lower <= upper, so at most one margin is negative: the smaller
+    # margin is the slack when satisfied and minus the violation when not.
+    margins = [value - lower] if lower is not None else []
+    margins += [upper - value] if upper is not None else []
+    slack = min(margins)
+    return ChInequality(label, value, lower, upper, slack >= 0, slack)
 
 
 def ch_evaluate(p: CorrelationVector) -> ChReport:
@@ -84,14 +77,11 @@ def ch_evaluate(p: CorrelationVector) -> ChReport:
     single = {i: p[{i}] for i in range(1, 5)}
     pair = {ij: p[set(ij)] for ij in CROSS_PAIRS}
 
-    records = []
-    seen = set()
+    records = {}  # label -> record; a repeated label keeps its first record
 
     def add(label: str, value: Fraction, lower, upper) -> None:
-        if label in seen:
-            return
-        seen.add(label)
-        records.append(_record(label, value, lower, upper))
+        if label not in records:
+            records[label] = _record(label, value, lower, upper)
 
     zero, one = Fraction(0), Fraction(1)
     for i, j in CROSS_PAIRS:
@@ -109,4 +99,4 @@ def ch_evaluate(p: CorrelationVector) -> ChReport:
         value -= single[minus_singles[0]] + single[minus_singles[1]]
         add(f"bell{k}: -1 <= {expr} <= 0", value, -one, zero)
 
-    return ChReport(tuple(records), all(r.satisfied for r in records))
+    return ChReport(tuple(records.values()), all(r.satisfied for r in records.values()))

@@ -286,19 +286,15 @@ def cmd_simulate(args):
 def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same options are accepted before and after the subcommand; the
     # post-subcommand copies default to SUPPRESS so they only override.
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
+    def add(flag, default, text, **kwargs):
+        parser.add_argument(flag, default=argparse.SUPPRESS if suppress else default,
+                            help=argparse.SUPPRESS if suppress else text, **kwargs)
 
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=default("text"),
-                        help="output format (csv applies to simulate only)" if not suppress else argparse.SUPPRESS)
-    parser.add_argument("--tolerance", type=float, default=default(1e-9),
-                        help="float-to-fraction identification tolerance" if not suppress else argparse.SUPPRESS)
-    parser.add_argument("--max-denominator", type=int, default=default(10**6),
-                        help="largest denominator accepted when rationalizing floats" if not suppress else argparse.SUPPRESS)
-    parser.add_argument("--strict", action="store_true", default=default(False),
-                        help="reject floats that are not exact binary/decimal fractions" if not suppress else argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="PRNG seed for simulate" if not suppress else argparse.SUPPRESS)
+    add("--format", "text", "output format (csv applies to simulate only)", choices=("text", "json", "csv"))
+    add("--tolerance", 1e-9, "float-to-fraction identification tolerance", type=float)
+    add("--max-denominator", 10**6, "largest denominator accepted when rationalizing floats", type=int)
+    add("--strict", False, "reject floats that are not exact binary/decimal fractions", action="store_true")
+    add("--seed", 0, "PRNG seed for simulate", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="setup distribution JSON file")
     p.add_argument("-o", "--output", help="write the space JSON here")
     p.add_argument("--max-order", type=int, default=None,
-                   help="largest |I1 u I2| verified (default min(2n, 8))")
-    p.add_argument("--full-order", action="store_true", help="verify all event pairs")
+                   help="largest |I1 u I2| verified, at least 1 (default 2n: every pair)")
+    p.add_argument("--full-order", action="store_true",
+                   help="verify all event pairs (the default; kept for old scripts)")
     p.set_defaults(func=cmd_censor, text=text_censor)
 
     p = sub.add_parser("orsay", parents=[override], help="singlet switch scenario: vectors and tables")

@@ -174,29 +174,22 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
     context_tables = []
     for context, (ln, rn) in zip(CONTEXTS, (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))):
         local = context_space(context, suite, policy)
-        cells = {}
-        for bits, pid in ((("1", "1"), "11"), (("1", "0"), "10"), (("0", "1"), "01"), (("0", "0"), "00")):
-            row = ln if bits[0] == "1" else f"!{ln}"
-            col = rn if bits[1] == "1" else f"!{rn}"
-            cells[(row, col)] = local.mass[pid]
+        cells = {
+            (ln if pid[0] == "1" else f"!{ln}", rn if pid[1] == "1" else f"!{rn}"): local.mass[pid]
+            for pid in ("11", "10", "01", "00")
+        }
         label = f"{SWITCH_NAMES[suite.index(ln) - 1]} & {SWITCH_NAMES[suite.index(rn) - 1]}"
-        context_tables.append(
-            ContextTable(label, (ln, f"!{ln}"), (rn, f"!{rn}"), cells)
-        )
+        context_tables.append(ContextTable(label, (ln, f"!{ln}"), (rn, f"!{rn}"), cells))
 
     censored = build_censored_space(suite, dist, policy)
     rows = ("A", "!A", "A'", "!A'")
     cols = ("B", "!B", "B'", "!B'")
-    support = set(dist.support)
     cells = {}
     for row in rows:
         left = row.lstrip("!")
-        lbit = "0" if row.startswith("!") else "1"
         for col in cols:
             right = col.lstrip("!")
-            rbit = "0" if col.startswith("!") else "1"
-            if frozenset({suite.index(left), suite.index(right)}) in support:
-                cells[(row, col)] = censored.space.mass[f"{left},{right}|{lbit}{rbit}"]
-            else:  # a zero-weight context contributes no points
-                cells[(row, col)] = Fraction(0)
+            # A zero-weight context contributes no points.
+            pid = f"{left},{right}|{int(row == left)}{int(col == right)}"
+            cells[(row, col)] = censored.space.mass.get(pid, Fraction(0))
     return OrsayTables(tuple(context_tables), rows, cols, cells, censored)

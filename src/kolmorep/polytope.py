@@ -127,11 +127,7 @@ class Outside:
         return sum((c * p[s] for s, c in self.certificate.items()), self.offset)
 
     def gap_at_vertex(self, bits: Sequence[int]) -> Fraction:
-        total = self.offset
-        for s, c in self.certificate.items():
-            if all(bits[i - 1] for i in s):
-                total += c
-        return total
+        return sum((c for s, c in self.certificate.items() if all(bits[i - 1] for i in s)), self.offset)
 
 
 Verdict = Union[Inside, Outside]
@@ -150,15 +146,8 @@ def _bits(mask: int, n: int) -> tuple:
 
 def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
     values = list(cert.values()) + [offset]
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in values]
-    g = 0
-    for k in ints:
-        g = math.gcd(g, abs(k))
-    g = g or 1
-    scale = Fraction(denom_lcm, g)
+    denom_lcm = math.lcm(*(v.denominator for v in values))
+    scale = Fraction(denom_lcm, math.gcd(*(int(v * denom_lcm) for v in values)) or 1)
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
@@ -220,10 +209,7 @@ def certificate_is_valid(p: CorrelationVector, verdict: Outside) -> bool:
     n = p.scheme.n
     if any(s not in p.scheme.sets for s in verdict.certificate):
         return False
-    for mask in range(1 << n):
-        if verdict.gap_at_vertex(_bits(mask, n)) > 0:
-            return False
-    return verdict.gap(p) > 0
+    return all(verdict.gap_at_vertex(_bits(mask, n)) <= 0 for mask in range(1 << n)) and verdict.gap(p) > 0
 
 
 @dataclass(frozen=True)

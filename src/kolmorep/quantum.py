@@ -19,13 +19,18 @@ from .errors import DimMismatch, InvalidDirection, KolmorepError
 TAU_OP = 1e-9  # Frobenius tolerance for operator identities
 TAU_PROB = 1e-9  # tolerance for probability values
 
+_TAG_SETS = {t: t for t in (frozenset(), frozenset({"projector"}), frozenset({"density"}))}  # shared instances
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    # np.linalg.norm's own fast path for complex input, without its dispatch.
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return sqrt(re.dot(re) + im.dot(im))
 
 
 def is_projector_matrix(m: np.ndarray, tol: float = TAU_OP) -> bool:
@@ -35,7 +40,8 @@ def is_projector_matrix(m: np.ndarray, tol: float = TAU_OP) -> bool:
 def is_density_matrix(m: np.ndarray, tol: float = TAU_OP) -> bool:
     if _frobenius(m - m.conj().T) > tol:
         return False
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+    trace = np.trace(m)
+    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
         return False
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
 
@@ -49,7 +55,7 @@ class Operator:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise KolmorepError(f"operator entries must be a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():
             raise KolmorepError("operator entries must be finite")
         tags = frozenset(tags)
         for tag in tags:
@@ -61,9 +67,9 @@ class Operator:
                     raise KolmorepError("matrix is not a unit-trace positive Hermitian within tolerance")
             else:
                 raise KolmorepError(f"unknown operator tag {tag!r}")
-        m.flags.writeable = False
+        m.setflags(write=False)
         self._entries = m
-        self._tags = tags
+        self._tags = _TAG_SETS.get(tags, tags)
 
     @property
     def dim(self) -> int:
@@ -115,7 +121,7 @@ def direction(theta: float, phi: float = 0.0) -> np.ndarray:
 
 def _as_unit_vector(d: Sequence[float]) -> np.ndarray:
     v = np.asarray(d, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    if v.shape != (3,) or not np.isfinite(v).all():
         raise InvalidDirection(f"direction must be a finite 3-vector, got {d!r}")
     norm = sqrt(float(v @ v))
     if abs(norm - 1.0) > 1e-12:
@@ -143,7 +149,10 @@ def _spin_up_state(d: Sequence[float]) -> np.ndarray:
 def tensor(x: Operator, y: Operator) -> Operator:
     """Kronecker product. The product of projectors is again a projector."""
     tags = ("projector",) if x.has_tag("projector") and y.has_tag("projector") else ()
-    return Operator(np.kron(x.entries, y.entries), tags=tags)
+    a, b = x.entries, y.entries
+    # np.kron's entries, one product each, without its generic reshaping.
+    kron = (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    return Operator(kron, tags=tags)
 
 
 def singlet_density(axis: Sequence[float] = (0.0, 0.0, 1.0)) -> Operator:
@@ -154,7 +163,7 @@ def singlet_density(axis: Sequence[float] = (0.0, 0.0, 1.0)) -> Operator:
     """
     up = _spin_up_state(axis)
     down = np.array([-np.conj(up[1]), np.conj(up[0])])
-    psi = (np.kron(up, down) - np.kron(down, up)) / sqrt(2.0)
+    psi = (np.outer(up, down) - np.outer(down, up)).ravel() / sqrt(2.0)  # np.kron of vectors
     return Operator(np.outer(psi, psi.conj()), tags=("density",))
 
 

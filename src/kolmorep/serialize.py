@@ -40,7 +40,7 @@ def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
 

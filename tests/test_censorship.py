@@ -17,10 +17,12 @@ from kolmorep import (
     Operator,
     RationalizationPolicy,
     SchemeMismatch,
+    TooLarge,
     assemble_effective_vector,
     build_censored_space,
     compute_compatibility,
     context_space,
+    effective_decomposition,
     effective_probability,
     evaluate,
     membership,
@@ -29,11 +31,12 @@ from kolmorep import (
     verify_censorship,
 )
 from kolmorep import censorship
-from kolmorep.censorship import CensoredSpace
+from kolmorep.censorship import CensoredSpace, SetupDistribution
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
 
 from helpers import random_censorship_case, random_setup, random_suite
+from reference_censorship import verify_censorship as reference_verify
 
 F = Fraction
 
@@ -154,6 +157,7 @@ def test_moment_is_computed_once_per_set_and_policy(monkeypatch):
     assert suite.moment([2, 1]) == F(1, 4)
     assert suite.moment({1, 2}, RationalizationPolicy(max_denominator=10)) == F(1, 4)
     assert calls == [2, 2]  # none for the empty set
+    assert {mask for mask, _policy in suite._moments} == {0, 0b011}  # keyed by bitmask
 
 
 def test_censor_pipeline_calls_born_once_per_compatible_set(monkeypatch):
@@ -411,3 +415,137 @@ def test_random_suites_verify_and_land_inside():
                 suite, dist, ConjunctionScheme.make(2 * suite.n, sets)
             )
             assert isinstance(membership(eff.vector), Inside)
+
+
+# --- the superset-sum verification against the pairwise reference --------------------------
+
+def orders(n):
+    return sorted({1, 3, 2 * n})
+
+
+def assert_same_reports(censored, suite, dist):
+    for order in orders(suite.n):
+        report = verify_censorship(censored, suite, dist, max_order=order)
+        assert report == reference_verify(censored, suite, dist, max_order=order), order
+    return report
+
+
+def random_cases():
+    rng = random.Random(606)
+    return [random_censorship_case(rng, n_range=(n, n)) for n in range(1, 7) for _ in range(2)]
+
+
+def orsay_case(angles):
+    cfg = orsay.OrsayConfig.from_degrees(angles)
+    suite = orsay.build_suite(cfg)
+    return suite, orsay.switch_distribution(cfg, suite)
+
+
+def test_verify_equals_reference_on_random_suites():
+    for suite, dist, _oracle in random_cases():
+        report = assert_same_reports(build_censored_space(suite, dist), suite, dist)
+        assert report.ok and report.checked == 4**suite.n
+
+
+def record_dtypes(monkeypatch):
+    """Spy on the arrays verify_censorship allocates: one dtype per np.zeros call."""
+    dtypes = []
+    zeros = np.zeros
+
+    def spy(shape, dtype=float):
+        dtypes.append(dtype)
+        return zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(censorship.np, "zeros", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("angles, dtype", [(orsay.DEFAULT_ANGLES_DEG, np.int64), ((37, 0, 0, 200), object)])
+def test_verify_equals_reference_on_orsay_suites(monkeypatch, angles, dtype):
+    suite, dist = orsay_case(angles)
+    censored = build_censored_space(suite, dist)
+    dtypes = record_dtypes(monkeypatch)
+    assert_same_reports(censored, suite, dist)
+    assert set(dtypes) - {bool} == {dtype}
+
+
+def test_verify_on_python_ints_equals_reference(monkeypatch):
+    monkeypatch.setattr(censorship, "_INT64_MAX", 2**5)
+    for suite, dist, _oracle in random_cases()[::3]:
+        assert_same_reports(build_censored_space(suite, dist), suite, dist)
+
+
+def corrupted(censored, how):
+    """Three ways a glued space can lie: moved mass, a lost outcome point, a short switch event."""
+    space = censored.space
+    mass, events = dict(space.mass), dict(space.events)
+    if how == "moved mass":
+        heavy = max(space.points, key=mass.get)
+        other = next(p for p in space.points if p != heavy)
+        mass[heavy] -= space.mass[heavy] / 3
+        mass[other] += space.mass[heavy] / 3
+    else:
+        keys = censored.outcome_events if how == "dropped outcome point" else censored.switch_events
+        key = max(keys.values(), key=lambda k: max((mass[p] for p in events[k]), default=0))
+        events[key] = events[key] - {max(events[key], key=mass.get)}
+    return CensoredSpace(KolmogorovSpace(space.points, mass, events), censored.outcome_events, censored.switch_events)
+
+
+@pytest.mark.parametrize("how", ["moved mass", "dropped outcome point", "shrunken switch event"])
+def test_verify_equals_reference_on_corrupted_spaces(how):
+    cases = random_cases()[4:] + [orsay_case(orsay.DEFAULT_ANGLES_DEG) + (None,)]
+    for suite, dist, _oracle in cases:
+        broken = corrupted(build_censored_space(suite, dist), how)
+        assert not assert_same_reports(broken, suite, dist).ok
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_verify_rejects_max_order_below_one(orsay_setup, order):
+    suite, dist = orsay_setup
+    with pytest.raises(KolmorepError, match="at least 1"):
+        verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=order)
+
+
+def test_verify_defaults_to_full_order(orsay_setup):
+    suite, dist = orsay_setup
+    report = verify_censorship(build_censored_space(suite, dist), suite, dist)
+    assert report.ok and report.max_order == 8 and report.checked == 256
+
+
+def test_twelve_measurements_are_too_large_before_any_array(monkeypatch):
+    w = Operator(np.diag([0.5, 0.5]), tags=("density",))
+    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [(f"M{i}", p) for i in range(1, 13)])
+    structure = CompatibilityStructure(12, frozenset(frozenset({i}) for i in range(1, 13)))
+    dist = validate_distribution({frozenset({1}): F(1)}, structure)
+    censored = build_censored_space(suite, dist)
+    calls = count_born_calls(monkeypatch)
+    monkeypatch.setattr(censorship, "np", None)  # any array construction would raise AttributeError
+    with pytest.raises(TooLarge):
+        verify_censorship(censored, suite, dist)
+    assert calls == []
+
+
+def decomposition_reproduces(decomposition, vector):
+    return all(
+        sum((w for bits, w in decomposition.weights.items() if all(bits[i - 1] for i in s)), F(0)) == value
+        for s, value in vector.values.items()
+    )
+
+
+def test_effective_decomposition_reproduces_the_effective_vector():
+    cases = random_cases() + [orsay_case(orsay.DEFAULT_ANGLES_DEG) + (None,)]
+    for suite, dist, _oracle in cases:
+        decomposition = effective_decomposition(build_censored_space(suite, dist), suite)
+        assert sum(decomposition.weights.values()) == 1
+        assert all(w > 0 and len(bits) == 2 * suite.n for bits, w in decomposition.weights.items())
+        eff = assemble_effective_vector(suite, dist, pairs_and_singletons(2 * suite.n))
+        assert decomposition_reproduces(decomposition, eff.vector)
+
+
+def test_effective_decomposition_of_orsay_lists_the_sixteen_atoms(orsay_setup):
+    suite, dist = orsay_setup
+    decomposition = effective_decomposition(build_censored_space(suite, dist), suite)
+    # A=1, B=1 in context {A, B}: outcome bits 1 and 3, switch bits 5 and 7.
+    assert decomposition.weights[(1, 0, 1, 0, 1, 0, 1, 0)] == F(3, 32)
+    assert len(decomposition.weights) == 14  # the two zero-mass atoms of {A', B} are left out

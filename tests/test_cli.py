@@ -127,6 +127,23 @@ def test_censor_success_and_artifact(files, capsys, tmp_path):
     assert sum(space.mass.values()) == 1
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_censor_max_order_below_one_is_exit_1(files, capsys, order):
+    code = main(["censor", "--suite", files["suite.json"], "--dist", files["dist.json"], "--max-order", order])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_order must be at least 1" in captured.err
+
+
+def test_censor_defaults_to_full_order_and_full_order_flag_is_redundant(files, capsys):
+    argv = ["--format", "json", "censor", "--suite", files["suite.json"], "--dist", files["dist.json"]]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--full-order"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["verification"]["checked"] == 4**4
+
+
 def test_censor_incompatible_support_is_exit_3(files, capsys):
     code = main(["censor", "--suite", files["suite.json"], "--dist", files["incompatible.json"]])
     assert code == 3

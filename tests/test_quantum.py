@@ -16,7 +16,7 @@ from kolmorep import (
     spin_projector_up,
     tensor,
 )
-from kolmorep.quantum import TAU_OP, direction
+from kolmorep.quantum import TAU_OP, _frobenius, direction
 
 SQ3_4 = np.sqrt(3) / 4
 
@@ -61,6 +61,27 @@ def test_tensor_identities():
     assert np.allclose(tensor(pz, qz).entries, np.diag([0, 1, 0, 0]))
     assert np.allclose(tensor(pz, eye2).entries, np.diag([1, 1, 0, 0]))
     assert tensor(pz, qz).has_tag("projector")
+
+
+def random_complex(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def test_frobenius_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = random_complex(rng, *rng.integers(1, 9, size=2))
+        for view in (m, m.T, m[::-1], m.conj().T, m[:, ::2]):
+            assert _frobenius(view) == float(np.linalg.norm(view))
+
+
+def test_tensor_equals_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x, y = (random_complex(rng, k, k) for k in rng.integers(1, 5, size=2))
+        for a, b in ((x, y), (x.T, y), (x, y.T), (x.T, y.T)):
+            got = tensor(Operator(a), Operator(b)).entries
+            assert got.tobytes() == np.kron(a, b).tobytes() and got.shape == np.kron(a, b).shape
 
 
 def test_singlet_entries_and_trace():
@@ -156,6 +177,8 @@ def test_operator_validation():
         Operator(np.diag([0.7, 0.7]), tags=("density",))
     with pytest.raises(KolmorepError):
         Operator(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(KolmorepError):
+        Operator(np.array([[1, complex(0, np.inf)], [0, 1]]))
     with pytest.raises(KolmorepError):
         Operator(np.zeros((2, 3)))
     op = Operator(np.diag([0.5, 0.5]), tags=("density",))

@@ -89,6 +89,16 @@ def test_matrix_round_trip_complex():
     assert np.allclose(again, w.entries)
 
 
+@pytest.mark.parametrize("dim", [True, False])
+def test_matrix_and_suite_reject_a_boolean_dim(dim):
+    with pytest.raises(SchemaError, match="'dim' must be int"):
+        matrix_from_json({"dim": dim, "entries": [[[1, 0]]]})
+    suite = suite_to_json(build_suite(OrsayConfig()))
+    suite["dim"] = dim
+    with pytest.raises(SchemaError, match="'dim' must be int"):
+        suite_from_json(suite)
+
+
 def test_matrix_schema_errors():
     with pytest.raises(SchemaError):
         matrix_from_json({"dim": 2, "entries": [[[1, 0]]]})
@@ -138,6 +148,12 @@ def test_vector_rejects_non_integer_indices(index):
         vector_from_json({"n": 2, "entries": [{"I": index, "p": "1/2"}]})
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2"])
+def test_vector_rejects_a_non_integer_event_count(n):
+    with pytest.raises(SchemaError, match="'n' must be int"):
+        vector_from_json({"n": n, "entries": [{"I": [1], "p": "1/2"}]})
+
+
 # --- weights -----------------------------------------------------------------------
 
 def test_weights_round_trip():
@@ -159,6 +175,12 @@ def test_weights_reject_duplicate_assignments():
 def test_weights_reject_non_integer_bits(eps):
     with pytest.raises(SchemaError, match="integers"):
         weights_from_json({"n": 2, "weights": [{"eps": eps, "p": 1}]})
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_weights_reject_a_boolean_event_count(n):
+    with pytest.raises(SchemaError, match="'n' must be int"):
+        weights_from_json({"n": n, "weights": [{"eps": [1], "p": 1}]})
 
 
 # --- suites and distributions ---------------------------------------------------------
