@@ -60,7 +60,6 @@ from .quantum import (
     density,
     direction,
     identity,
-    operator,
     projector,
     singlet_density,
     spin_projector_up,

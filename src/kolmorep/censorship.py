@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, lcm
 from typing import Iterable, Mapping, Optional
@@ -134,49 +135,44 @@ class MeasurementSuite:
             self._moments[key] = value
         return value
 
+    @cached_property
+    def commuting_pairs(self) -> frozenset:
+        """Every index pair {i, j} whose projectors commute, tested once per suite."""
+        return frozenset(
+            frozenset(pair) for pair in combinations(range(1, self.n + 1), 2)
+            if commutes(self.proj(pair[0]), self.proj(pair[1]))
+        )
+
 
 @dataclass(frozen=True)
 class CompatibilityStructure:
-    """All non-empty index sets whose projectors pairwise commute.
+    """The compatibility relation on measurements 1..n, given by its commuting pairs.
 
-    Downward closed, and every singleton is present; both are validated.
+    An index set is compatible when it is a non-empty subset of 1..n whose
+    pairs all commute, so singletons are compatible and subsets of compatible
+    sets are too.
     """
 
     n: int
-    sets: frozenset
-
-    def __post_init__(self) -> None:
-        for i in range(1, self.n + 1):
-            if frozenset({i}) not in self.sets:
-                raise KolmorepError("compatibility structure must contain every singleton")
-        for s in self.sets:
-            if not s or not s <= frozenset(range(1, self.n + 1)):
-                raise KolmorepError("compatibility members must be non-empty subsets of 1..n")
-            for i in s:
-                if len(s) > 1 and s - {i} not in self.sets:
-                    raise KolmorepError("compatibility structure must be downward closed")
+    pairs: frozenset  # frozenset({i, j}) for each commuting pair
 
     def __contains__(self, index_set) -> bool:
-        return frozenset(index_set) in self.sets
+        s = frozenset(index_set)
+        return (
+            bool(s) and s <= frozenset(range(1, self.n + 1))
+            and all(frozenset(pair) in self.pairs for pair in combinations(s, 2))
+        )
 
 
 def compute_compatibility(suite: MeasurementSuite) -> CompatibilityStructure:
-    """Enumerate every subset whose projectors pairwise commute."""
-    n = suite.n
-    pair_ok = {(i, j): commutes(suite.proj(i), suite.proj(j)) for i, j in combinations(range(1, n + 1), 2)}
-    sets = set()
-    for mask in range(1, 1 << n):
-        members = _members(mask)
-        if all(pair_ok[pair] for pair in combinations(members, 2)):
-            sets.add(frozenset(members))
-    return CompatibilityStructure(n, frozenset(sets))
+    """The suite's commuting-pair relation."""
+    return CompatibilityStructure(suite.n, suite.commuting_pairs)
 
 
 @dataclass(frozen=True)
 class SetupDistribution:
     """Classical switch weights over compatible contexts."""
 
-    structure: CompatibilityStructure
     weights: Mapping  # frozenset of indices -> Fraction
 
     @property
@@ -206,7 +202,7 @@ def validate_distribution(
         cleaned[j] = w
     if sum(cleaned.values(), Fraction(0)) != 1:
         raise InvalidDistribution("context weights must sum to one")
-    return SetupDistribution(structure, cleaned)
+    return SetupDistribution(cleaned)
 
 
 def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fraction:
@@ -234,7 +230,7 @@ def context_space(
     if not members:
         raise IncompatibleContext("a context needs at least one measurement")
     for i, j in combinations(members, 2):
-        if not commutes(suite.proj(i), suite.proj(j)):
+        if frozenset({i, j}) not in suite.commuting_pairs:
             raise IncompatibleContext(
                 f"measurements {suite.name_of(i)!r} and {suite.name_of(j)!r} do not commute"
             )
@@ -277,13 +273,11 @@ def effective_probability(
     """Observed probability of outcomes I1 together with switch events I2.
 
     The switch part must cover both sets: seeing an outcome presupposes that
-    its measurement ran. Incompatible requirements give zero: no context can
-    host them.
+    its measurement ran. Incompatible requirements give zero: no supported
+    context can host them, so no weight covers them.
     """
     i1 = frozenset(outcomes)
     union = i1 | frozenset(switches)
-    if union and union not in dist.structure:
-        return Fraction(0)
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import orsay as orsay_mod
 from .censorship import (
@@ -31,7 +30,7 @@ from .censorship import (
 from .ch import ch_evaluate
 from .errors import IncompatibleSupport, KolmorepError
 from .polytope import ConjunctionScheme, Inside, Outside, membership, representation_from_weights
-from .rational import RationalizationPolicy, format_rational
+from .rational import RationalizationPolicy, format_rational, parse_rational
 from .serialize import (
     censored_space_to_json, distribution_from_json, estimates_to_json, queries_from_json, records_to_csv,
     space_to_json, suite_from_json, vector_from_json, vector_to_json, weights_from_json, weights_to_json,
@@ -200,10 +199,10 @@ def text_censor(payload, args) -> str:
 
 
 def cmd_orsay(args):
-    weights = [Fraction(w) for w in args.weights.split(",")] if args.weights else None
+    policy = _policy(args)
+    weights = [parse_rational(w, policy) for w in args.weights.split(",")] if args.weights else None
     angles = [float(x) for x in args.angles.split(",")] if args.angles else orsay_mod.DEFAULT_ANGLES_DEG
     cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights)
-    policy = _policy(args)
 
     out = {}
     if args.emit in ("vectors", "all"):

@@ -146,16 +146,12 @@ class ContextTable:
     """2x2 outcome table of one context; cells keyed (row, col) with '!' for 'not'."""
 
     label: str
-    rows: tuple
-    cols: tuple
     cells: dict
 
 
 @dataclass(frozen=True)
 class OrsayTables:
     context_tables: tuple
-    censored_rows: tuple
-    censored_cols: tuple
     censored_cells: dict
     censored: CensoredSpace
 
@@ -179,17 +175,15 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
             for pid in ("11", "10", "01", "00")
         }
         label = f"{SWITCH_NAMES[suite.index(ln) - 1]} & {SWITCH_NAMES[suite.index(rn) - 1]}"
-        context_tables.append(ContextTable(label, (ln, f"!{ln}"), (rn, f"!{rn}"), cells))
+        context_tables.append(ContextTable(label, cells))
 
     censored = build_censored_space(suite, dist, policy)
-    rows = ("A", "!A", "A'", "!A'")
-    cols = ("B", "!B", "B'", "!B'")
     cells = {}
-    for row in rows:
+    for row in ("A", "!A", "A'", "!A'"):
         left = row.lstrip("!")
-        for col in cols:
+        for col in ("B", "!B", "B'", "!B'"):
             right = col.lstrip("!")
             # A zero-weight context contributes no points.
             pid = f"{left},{right}|{int(row == left)}{int(col == right)}"
             cells[(row, col)] = censored.space.mass.get(pid, Fraction(0))
-    return OrsayTables(tuple(context_tables), rows, cols, cells, censored)
+    return OrsayTables(tuple(context_tables), cells, censored)

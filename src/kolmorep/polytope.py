@@ -34,8 +34,6 @@ from .errors import (
 )
 from .simplex import solve_zero_one_feasibility
 
-IndexSet = frozenset
-
 
 @dataclass(frozen=True)
 class ConjunctionScheme:
@@ -64,9 +62,6 @@ class ConjunctionScheme:
     def sorted_sets(self) -> list:
         """Deterministic presentation order: by size, then lexicographically."""
         return sorted(self.sets, key=lambda s: (len(s), sorted(s)))
-
-    def with_sets(self, extra: Iterable[Iterable[int]]) -> "ConjunctionScheme":
-        return ConjunctionScheme(self.n, self.sets | frozenset(frozenset(s) for s in extra))
 
 
 @dataclass(frozen=True)

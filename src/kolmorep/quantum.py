@@ -9,7 +9,7 @@ rather than trusted from input files.
 
 from __future__ import annotations
 
-from math import atan2, cos, sin, sqrt
+from math import cos, sin, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,10 +91,6 @@ class Operator:
         return f"Operator(dim={self.dim}{tags})"
 
 
-def operator(entries) -> Operator:
-    return Operator(entries)
-
-
 def projector(entries) -> Operator:
     return Operator(entries, tags=("projector",))
 
@@ -139,13 +135,6 @@ def spin_projector_up(d: Sequence[float]) -> Operator:
     return Operator(m, tags=("projector",))
 
 
-def _spin_up_state(d: Sequence[float]) -> np.ndarray:
-    v = _as_unit_vector(d)
-    theta = atan2(sqrt(v[0] ** 2 + v[1] ** 2), v[2])
-    phi = atan2(v[1], v[0])
-    return np.array([cos(theta / 2), np.exp(1j * phi) * sin(theta / 2)])
-
-
 def tensor(x: Operator, y: Operator) -> Operator:
     """Kronecker product. The product of projectors is again a projector."""
     tags = ("projector",) if x.has_tag("projector") and y.has_tag("projector") else ()
@@ -155,15 +144,12 @@ def tensor(x: Operator, y: Operator) -> Operator:
     return Operator(kron, tags=tags)
 
 
-def singlet_density(axis: Sequence[float] = (0.0, 0.0, 1.0)) -> Operator:
-    """Density matrix of the two-spin singlet.
+def singlet_density() -> Operator:
+    """Density matrix of the two-spin singlet (|01> - |10>)/sqrt(2).
 
-    The construction uses the up/down basis along ``axis``, but the result is
-    the same matrix for every axis: the singlet is rotation invariant.
+    The singlet is rotation invariant, so one basis serves every axis.
     """
-    up = _spin_up_state(axis)
-    down = np.array([-np.conj(up[1]), np.conj(up[0])])
-    psi = (np.outer(up, down) - np.outer(down, up)).ravel() / sqrt(2.0)  # np.kron of vectors
+    psi = np.array([0, 1, -1, 0], dtype=complex) / sqrt(2.0)
     return Operator(np.outer(psi, psi.conj()), tags=("density",))
 
 

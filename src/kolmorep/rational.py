@@ -29,8 +29,8 @@ class RationalizationPolicy:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_denominator < 1:
             raise ValueError("max denominator must be at least 1")
 
@@ -77,8 +77,10 @@ def parse_rational(value, policy: RationalizationPolicy = DEFAULT_POLICY) -> Fra
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NumericalFailure(f"cannot parse {value!r} as a fraction") from exc
+        except ValueError as exc:
+            raise NumericalFailure(str(exc)) from exc
+        except ZeroDivisionError as exc:
+            raise NumericalFailure(f"{value!r} has a zero denominator") from exc
     raise NumericalFailure(f"cannot interpret {value!r} as a rational number")
 
 

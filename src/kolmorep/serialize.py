@@ -17,7 +17,8 @@ strings, integers, or floats; floats are identified with exact fractions
 under the active rationalization policy. Indices in "I" and bits in "eps"
 must be JSON integers (not floats or booleans); in vector entries, a bare
 integer "I" is accepted as shorthand for a one-element set. A repeated index
-set, assignment or context is an error.
+set, assignment or context is an error, and so is a repeated index within one
+"I" or a repeated member within one context.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         for c, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise SchemaError(f"{where}: entry ({r},{c}) must be an [re, im] pair")
-            out[r, c] = complex(float(cell[0]), float(cell[1]))
+            try:
+                out[r, c] = complex(float(cell[0]), float(cell[1]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{where}: entry ({r},{c}) must hold two numbers") from exc
     return out
 
 
@@ -101,6 +105,8 @@ def vector_from_json(
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{where}: 'I' must be a non-empty index list")
         key = frozenset(_integers(raw, where, "I"))
+        if len(key) != len(raw):
+            raise SchemaError(f"{where}: repeated index in {raw}")
         if key in values:
             raise SchemaError(f"{where}: duplicate index set {sorted(key)}")
         values[key] = parse_rational(_expect(entry, "p", None, where), policy)
@@ -190,6 +196,8 @@ def distribution_from_json(
             key = frozenset(suite.index(name) for name in members)
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+        if len(key) != len(members):
+            raise SchemaError(f"{where}: repeated member in {members}")
         if key in out:
             raise SchemaError(f"{where}: duplicate context {sorted(members)}")
         out[key] = parse_rational(_expect(entry, "weight", None, where), policy)

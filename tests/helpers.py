@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -133,7 +134,10 @@ def random_setup(
     rng: random.Random, structure: CompatibilityStructure, max_contexts: int = 4
 ) -> SetupDistribution:
     """Random rational weights on a random selection of compatible contexts."""
-    pool = sorted(structure.sets, key=lambda s: (len(s), sorted(s)))
+    n = structure.n
+    # Non-empty subsets by size, then lexicographically.
+    subsets = (frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k))
+    pool = [s for s in subsets if s in structure]
     count = rng.randint(1, min(max_contexts, len(pool)))
     chosen = rng.sample(pool, count)
     weights = dict(zip(chosen, random_distribution(rng, count)))

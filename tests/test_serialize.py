@@ -142,6 +142,11 @@ def test_vector_schema_errors():
         vector_from_json({"n": 1, "entries": [{"I": [4], "p": 1}]})
 
 
+def test_vector_rejects_a_repeated_index_within_one_entry():
+    with pytest.raises(SchemaError, match="repeated index"):
+        vector_from_json({"n": 2, "entries": [{"I": [1, 1], "p": "1/2"}]})
+
+
 @pytest.mark.parametrize("index", [[1.7], [1, 2.0], [True], True, ["1"]])
 def test_vector_rejects_non_integer_indices(index):
     with pytest.raises(SchemaError, match="integers"):
@@ -204,6 +209,12 @@ def test_distribution_round_trip_by_names():
     assert raw == dict(dist.weights)
     with pytest.raises(SchemaError):
         distribution_from_json({"contexts": [{"members": ["Z"], "weight": 1}]}, suite)
+
+
+def test_distribution_rejects_a_repeated_member_within_one_context():
+    suite = build_suite(OrsayConfig())
+    with pytest.raises(SchemaError, match="repeated member"):
+        distribution_from_json({"contexts": [{"members": ["A", "A"], "weight": 1}]}, suite)
 
 
 # --- spaces ------------------------------------------------------------------------------
