@@ -66,6 +66,6 @@ from .quantum import (
     tensor,
 )
 from .rational import DEFAULT_POLICY, RationalizationPolicy, format_rational, parse_rational, rationalize
-from .simulation import FrequencyEstimate, TrialRecord, estimate, run
+from .simulation import FrequencyEstimate, TrialRecord, Trials, estimate, run
 
 __version__ = "0.1.0"

@@ -106,11 +106,17 @@ class MeasurementSuite:
                 return k
         raise KolmorepError(f"no measurement named {name!r}")
 
+    def _measurement(self, i: int) -> Measurement:
+        """The measurement with 1-based index `i`."""
+        if not 1 <= i <= self.n:
+            raise KolmorepError(f"no measurement with index {i}: the suite has {self.n}, indexed 1..{self.n}")
+        return self.measurements[i - 1]
+
     def proj(self, i: int) -> Operator:
-        return self.measurements[i - 1].projector
+        return self._measurement(i).projector
 
     def name_of(self, i: int) -> str:
-        return self.measurements[i - 1].name
+        return self._measurement(i).name
 
     def moment(
         self, index_set: Iterable[int], policy: RationalizationPolicy = DEFAULT_POLICY
@@ -229,11 +235,10 @@ def context_space(
     members = sorted(frozenset(context))
     if not members:
         raise IncompatibleContext("a context needs at least one measurement")
-    for i, j in combinations(members, 2):
+    names = [suite.name_of(i) for i in members]
+    for (i, a), (j, b) in combinations(zip(members, names), 2):
         if frozenset({i, j}) not in suite.commuting_pairs:
-            raise IncompatibleContext(
-                f"measurements {suite.name_of(i)!r} and {suite.name_of(j)!r} do not commute"
-            )
+            raise IncompatibleContext(f"measurements {a!r} and {b!r} do not commute")
 
     k = len(members)
     # mass[mask] starts as the moment of the members whose bits are set ...
@@ -249,7 +254,7 @@ def context_space(
                 mass[mask] -= mass[mask | bit]
     if min(mass) < 0:
         raise NumericalFailure(
-            f"context {[suite.name_of(i) for i in members]} has a negative atom {min(mass)}: "
+            f"context {names} has a negative atom {min(mass)}: "
             "its rationalized moments admit no distribution"
         )
 
@@ -257,8 +262,8 @@ def context_space(
     masses = [mass[sum(b << pos for pos, b in enumerate(bits))] for bits in point_bits]
     ids = tuple("".join(str(b) for b in bits) for bits in point_bits)
     events = {
-        suite.name_of(i): frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos])
-        for pos, i in enumerate(members)
+        name: frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos])
+        for pos, name in enumerate(names)
     }
     return KolmogorovSpace(ids, dict(zip(ids, masses)), events)
 

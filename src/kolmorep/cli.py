@@ -4,8 +4,9 @@ Each subcommand except `simulate` returns ``(exit code, payload)``. The
 payload is the dict that ``--format json`` prints, with every number already
 formatted once; `main` alone picks the view, JSON or the command's text
 renderer, which reads only the payload. `simulate` writes its records
-itself (CSV, or JSON with ``--format json``, to stdout or ``-o``): one dict
-per trial only to print CSV would cost more than the CSV writer itself.
+itself (CSV, or JSON with ``--format json``, to stdout or ``-o``): the
+serialize writers build every record's text from the trial columns, with no
+dict per trial, so there is no records payload for `main` to print.
 
 Exit codes are a stable contract across subcommands:
 0 success / property holds, 2 negative verdict (outside the polytope,
@@ -33,7 +34,8 @@ from .polytope import ConjunctionScheme, Inside, Outside, membership, representa
 from .rational import RationalizationPolicy, format_rational, parse_rational
 from .serialize import (
     censored_space_to_json, distribution_from_json, estimates_to_json, queries_from_json, records_to_csv,
-    space_to_json, suite_from_json, vector_from_json, vector_to_json, weights_from_json, weights_to_json,
+    records_to_json, space_to_json, suite_from_json, vector_from_json, vector_to_json, weights_from_json,
+    weights_to_json,
 )
 from .simulation import PRNG_ALGORITHM, estimate, run
 
@@ -260,18 +262,13 @@ def cmd_simulate(args):
     else:
         queries = [((name,), ()) for name in suite.names]
         queries += [((), (name,)) for name in suite.names]
-    records = run(suite, dist, args.trials, args.seed, policy)
-    estimates = estimate(records, queries)
+    trials = run(suite, dist, args.trials, args.seed, policy)
+    estimates = estimate(trials, queries)
 
     if args.format == "json":
-        payload = estimates_to_json(estimates, args.seed, args.trials)
-        payload["records"] = [
-            {"trial": r.trial, "context": list(r.context), "bits": "".join(map(str, r.bits))}
-            for r in records
-        ]
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(records_to_json(trials, estimates_to_json(estimates, args.seed, args.trials)), args.output)
         return 0, None
-    _emit(records_to_csv(records, args.seed), args.output)
+    _emit(records_to_csv(trials, args.seed), args.output)
     rows = [["outcomes", "performed", "frequency", "stderr"]]
     rows += [
         ["&".join(e.outcomes) or "-", "&".join(e.performed) or "-", f"{e.frequency:.6f}", f"{e.stderr:.6f}"]

@@ -14,10 +14,11 @@ re-parses to exactly the value that produced it):
 
 Values in "p"/"weight"/"mass" positions may be fraction strings, decimal
 strings, integers, or floats; floats are identified with exact fractions
-under the active rationalization policy. Indices in "I" and bits in "eps"
-must be JSON integers (not floats or booleans); in vector entries, a bare
-integer "I" is accepted as shorthand for a one-element set. A repeated index
-set, assignment or context is an error, and so is a repeated index within one
+under the active rationalization policy. Matrix entries must be JSON numbers
+(not strings or booleans). Indices in "I" and bits in "eps" must be JSON
+integers (not floats or booleans); in vector entries, a bare integer "I" is
+accepted as shorthand for a one-element set. A repeated index set,
+assignment or context is an error, and so is a repeated index within one
 "I" or a repeated member within one context.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import SchemaError
 from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace
 from .quantum import Operator
 from .rational import DEFAULT_POLICY, RationalizationPolicy, format_rational, parse_rational
-from .simulation import PRNG_ALGORITHM, FrequencyEstimate, TrialRecord
+from .simulation import PRNG_ALGORITHM, FrequencyEstimate, Trials
 
 
 def _expect(obj, key, kind, where):
@@ -73,9 +75,11 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         for c, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise SchemaError(f"{where}: entry ({r},{c}) must be an [re, im] pair")
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell):
+                raise SchemaError(f"{where}: entry ({r},{c}) must hold two numbers")
             try:
                 out[r, c] = complex(float(cell[0]), float(cell[1]))
-            except (TypeError, ValueError, OverflowError) as exc:
+            except OverflowError as exc:
                 raise SchemaError(f"{where}: entry ({r},{c}) must hold two numbers") from exc
     return out
 
@@ -241,17 +245,48 @@ def censored_space_to_json(censored: CensoredSpace) -> dict:
 
 # --- simulation output -----------------------------------------------------
 
-def records_to_csv(records: Iterable[TrialRecord], seed: int) -> str:
-    """CSV stream with a reproducibility header comment line."""
+def _per_trial(trials: Trials, render) -> list:
+    """`render(names, bits)` once per (context, outcome) cell, listed per trial."""
+    cells = [render(names, bits) for names, points in zip(trials.names, trials.points) for bits in points]
+    first = np.cumsum([0, *(len(points) for points in trials.points)])[:-1]
+    return [cells[c] for c in (first[trials.context] + trials.outcome).tolist()]
+
+
+def _csv_row(fields: list) -> str:
     buf = io.StringIO()
-    buf.write(f"# prng={PRNG_ALGORITHM} seed={seed}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["trial", "context", "bits"])
-    for rec in records:
-        writer.writerow(
-            [rec.trial, "+".join(rec.context), "".join(str(b) for b in rec.bits)]
-        )
+    csv.writer(buf).writerow(fields)
     return buf.getvalue()
+
+
+def records_to_csv(trials: Trials, seed: int) -> str:
+    """CSV stream with a reproducibility header comment line.
+
+    `csv.writer` writes each (context, outcome) cell's row after the trial
+    number once; each trial's row is its number followed by that text.
+    """
+    tails = _per_trial(trials, lambda names, bits: _csv_row(["", "+".join(names), "".join(map(str, bits))]))
+    rows = "".join([f"{t}{tail}" for t, tail in enumerate(tails)])
+    return f"# prng={PRNG_ALGORITHM} seed={seed}\n{_csv_row(['trial', 'context', 'bits'])}{rows}"
+
+
+def _json_record(names, bits) -> tuple:
+    """A cell's record as `json.dumps(indent=2)` writes it inside "records", split at the trial number."""
+    text = json.dumps({"trial": 0, "context": list(names), "bits": "".join(map(str, bits))}, indent=2)
+    head, _, tail = ("    " + text.replace("\n", "\n    ")).partition('"trial": 0')
+    return head + '"trial": ', tail
+
+
+def records_to_json(trials: Trials, payload: dict) -> str:
+    """`json.dumps` of the non-empty `payload` plus a "records" list, indent 2, byte for byte.
+
+    Each (context, outcome) cell's record is dumped once; each trial's record
+    is that text with the trial's number spliced in.
+    """
+    if not len(trials):
+        return json.dumps({**payload, "records": []}, indent=2)
+    cells = _per_trial(trials, _json_record)
+    records = ",\n".join([f"{head}{t}{tail}" for t, (head, tail) in enumerate(cells)])
+    return f'{json.dumps(payload, indent=2)[:-2]},\n  "records": [\n{records}\n  ]\n}}'
 
 
 def estimates_to_json(estimates: Iterable[FrequencyEstimate], seed: int, trials: int) -> dict:

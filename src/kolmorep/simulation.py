@@ -6,6 +6,9 @@ common denominator of the exact weights, so the sampled law is the rational
 law itself, not a float approximation of it. A measurement outside the
 drawn context is recorded as absent, not as a third outcome value: that is
 exactly what makes empirical frequencies effective rather than conditional.
+The trials are kept as columns (a context index and an outcome index per
+trial), never as one object per trial; `TrialRecord` is only the view that
+iterating them yields.
 
 PCG64 is the generator (published algorithm, splittable); emit the algorithm
 name and seed alongside any results so runs can be reproduced.
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +34,33 @@ class TrialRecord:
     trial: int
     context: tuple  # measurement names, in suite order
     bits: tuple  # outcome bits aligned with context
+
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Simulated trials as columns: trial t ran context `context[t]` and saw
+    that context's outcome point `outcome[t]`."""
+
+    names: tuple  # per context: measurement names, in suite order
+    points: tuple  # per context: outcome bit tuples, in context_space order
+    context: np.ndarray  # int64 context index per trial
+    outcome: np.ndarray  # int64 outcome point index per trial
+
+    def __len__(self) -> int:
+        return len(self.context)
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        for t, (k, o) in enumerate(zip(self.context.tolist(), self.outcome.tolist())):
+            yield TrialRecord(t, self.names[k], self.points[k][o])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trials):
+            return NotImplemented
+        return (
+            self.names == other.names and self.points == other.points
+            and np.array_equal(self.context, other.context)
+            and np.array_equal(self.outcome, other.outcome)
+        )
 
 
 @dataclass(frozen=True)
@@ -56,7 +86,7 @@ def run(
     trials: int,
     seed: int,
     policy: RationalizationPolicy = DEFAULT_POLICY,
-) -> list:
+) -> Trials:
     """Simulate `trials` switch-and-detect rounds; same seed, same stream."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -67,54 +97,40 @@ def run(
     chosen = _integer_sampler(rng, kappa, trials)
 
     names = []
-    point_bits = []
-    outcome_draws = np.zeros(trials, dtype=np.int64)
+    points = []
+    outcome = np.zeros(trials, dtype=np.int64)
     for k, context in enumerate(contexts):
-        members = sorted(context)
-        names.append(tuple(suite.name_of(i) for i in members))
+        names.append(tuple(suite.name_of(i) for i in sorted(context)))
         local = context_space(context, suite, policy)
-        masses = [local.mass[p] for p in local.points]
-        point_bits.append([tuple(int(ch) for ch in p) for p in local.points])
+        points.append(tuple(tuple(int(ch) for ch in p) for p in local.points))
         hits = np.flatnonzero(chosen == k)
         if hits.size:
-            outcome_draws[hits] = _integer_sampler(rng, masses, hits.size)
-
-    return [
-        TrialRecord(t, names[chosen[t]], point_bits[chosen[t]][outcome_draws[t]])
-        for t in range(trials)
-    ]
+            outcome[hits] = _integer_sampler(rng, [local.mass[p] for p in local.points], hits.size)
+    return Trials(tuple(names), tuple(points), np.asarray(chosen, dtype=np.int64), outcome)
 
 
-def estimate(records: Sequence[TrialRecord], queries: Iterable) -> list:
+def estimate(trials: Trials, queries: Iterable) -> list:
     """Empirical effective frequencies for (outcomes, performed) name pairs.
 
     A trial counts for a query when its context covers every named
     measurement (outcome names included: a beep presupposes the run) and all
     named outcome bits are 1. Standard errors are binomial.
     """
-    total = len(records)
-    by_context: dict = {}
-    for rec in records:
-        by_context.setdefault(rec.context, []).append(rec.bits)
-    context_bits = {
-        ctx: np.array(bits, dtype=np.uint8).reshape(len(bits), len(ctx))
-        for ctx, bits in by_context.items()
-    }
-
+    total = len(trials)
+    counts = [  # per context, the trials that saw each of its outcome points
+        np.bincount(trials.outcome[trials.context == k], minlength=len(points)).tolist()
+        for k, points in enumerate(trials.points)
+    ]
     results = []
     for outcomes, performed in queries:
         outcomes = tuple(outcomes)
         performed = tuple(performed)
         required = set(outcomes) | set(performed)
         count = 0
-        for ctx, bits in context_bits.items():
-            if not required <= set(ctx):
-                continue
-            if outcomes:
-                sel = [ctx.index(name) for name in outcomes]
-                count += int(np.sum(np.all(bits[:, sel] == 1, axis=1)))
-            else:
-                count += bits.shape[0]
+        for names, points, cells in zip(trials.names, trials.points, counts):
+            if required <= set(names):
+                sel = [names.index(name) for name in outcomes]
+                count += sum(c for bits, c in zip(points, cells) if all(bits[i] == 1 for i in sel))
         freq = count / total if total else 0.0
         stderr = sqrt(freq * (1.0 - freq) / total) if total else 0.0
         results.append(FrequencyEstimate(outcomes, performed, freq, total, stderr))

@@ -220,6 +220,15 @@ def test_context_space_rejects_incompatible(orsay_setup):
         context_space({1, 2}, suite)
 
 
+@pytest.mark.parametrize("context, bad", [({0, 3}, 0), ({0}, 0), ({5}, 5), ({-1, 2}, -1)])
+def test_context_space_rejects_an_index_outside_the_suite(orsay_setup, context, bad):
+    suite, _ = orsay_setup
+    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
+    with pytest.raises(KolmorepError, match=message) as info:
+        context_space(context, suite)
+    assert type(info.value) is KolmorepError
+
+
 def test_negative_derived_atom_is_a_numerical_failure():
     w = Operator(np.diag([0.6, 0.2, 0.2, 0.0]), tags=("density",))
     a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))

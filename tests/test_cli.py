@@ -297,6 +297,18 @@ def test_a_matrix_cell_that_is_not_a_number_is_exit_1(cell, files, capsys, tmp_p
     assert err.startswith("error: measurement 0: entry (0,0)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cell", [[True, 0], ["0.5", 0]])
+def test_a_boolean_or_string_matrix_entry_is_exit_1(cell, files, capsys, tmp_path):
+    suite = json.loads(Path(files["suite.json"]).read_text())
+    suite["density"]["entries"][0][0] = cell
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(suite))
+    assert main(["simulate", "--suite", str(path), "--dist", files["dist.json"], "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: density: entry (0,0) must hold two numbers\n"
+
+
 @pytest.mark.parametrize("argv", [["--tolerance", "inf", "orsay"], ["orsay", "--weights", "1/0,0,0,0"]])
 def test_an_infinite_tolerance_or_a_zero_denominator_weight_is_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -34,7 +34,7 @@ from kolmorep.serialize import (
     weights_from_json,
     weights_to_json,
 )
-from kolmorep.simulation import TrialRecord
+from kolmorep.simulation import Trials
 from kolmorep import build_censored_space
 
 F = Fraction
@@ -106,6 +106,17 @@ def test_matrix_schema_errors():
         matrix_from_json({"entries": []})
     with pytest.raises(SchemaError):
         matrix_from_json({"dim": 1, "entries": [[[1]]]})
+
+
+@pytest.mark.parametrize("cell", [[True, "0.5"], [True, 0], [0, False], ["1", 0], [1, "0.5"]])
+def test_matrix_entries_must_be_json_numbers(cell):
+    with pytest.raises(SchemaError, match=r"^matrix: entry \(0,1\) must hold two numbers$"):
+        matrix_from_json({"dim": 2, "entries": [[[1, 0], cell], [[0, 0], [1, 0]]]})
+
+
+def test_matrix_entries_take_ints_and_floats():
+    out = matrix_from_json({"dim": 1, "entries": [[[1, 0.5]]]})
+    assert out.dtype == complex and out[0, 0] == 1 + 0.5j
 
 
 # --- vectors ----------------------------------------------------------------------
@@ -242,8 +253,11 @@ def test_censored_space_json_carries_event_maps():
 # --- simulation output ----------------------------------------------------------------------
 
 def test_records_csv_layout():
-    records = [TrialRecord(0, ("A", "B"), (1, 0)), TrialRecord(1, ("A'", "B"), (0, 0))]
-    text = records_to_csv(records, seed=7)
+    # Two contexts with their outcome points; trial 0 saw (A, B) = 10, trial 1 saw (A', B) = 00.
+    names = (("A", "B"), ("A'", "B"))
+    points = (((1, 1), (1, 0), (0, 1), (0, 0)),) * 2
+    trials = Trials(names, points, np.array([0, 1]), np.array([1, 3]))
+    text = records_to_csv(trials, seed=7)
     lines = text.strip().splitlines()
     assert lines[0] == "# prng=PCG64 seed=7"
     assert lines[1] == "trial,context,bits"
