@@ -118,6 +118,14 @@ class MeasurementSuite:
     def name_of(self, i: int) -> str:
         return self._measurement(i).name
 
+    def _mask_of(self, index_set: Iterable[int]) -> int:
+        """Bitmask of 1-based measurement indices, each checked like ``proj`` checks it."""
+        mask = 0
+        for i in index_set:
+            self._measurement(i)
+            mask |= 1 << (i - 1)
+        return mask
+
     def moment(
         self, index_set: Iterable[int], policy: RationalizationPolicy = DEFAULT_POLICY
     ) -> Fraction:
@@ -127,7 +135,7 @@ class MeasurementSuite:
         numerical failure; smaller negative noise is clamped to 0 before
         rationalization.
         """
-        mask = _mask(index_set)
+        mask = self._mask_of(index_set)
         key = (mask, policy)
         value = self._moments.get(key)
         if value is None:
@@ -283,6 +291,7 @@ def effective_probability(
     """
     i1 = frozenset(outcomes)
     union = i1 | frozenset(switches)
+    suite._mask_of(union)  # indices outside 1..n raise, as in proj
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior

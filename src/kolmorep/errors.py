@@ -18,7 +18,7 @@ class SchemeMismatch(KolmorepError):
 
 
 class TooLarge(KolmorepError):
-    """The event count exceeds the configured membership guard."""
+    """An input exceeds a size guard: event count, verified order, sampling denominator."""
 
 
 class InvalidDistribution(KolmorepError):

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     InvalidDistribution,
@@ -146,25 +147,35 @@ def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
-def _quick_separation(p: CorrelationVector) -> Outside | None:
+def _quick_separation(p: CorrelationVector, order: list, masks: list) -> Outside | None:
     """Cheap certificates before the LP: range bounds and monotonicity.
 
     Both come straight from the vertex structure: every vertex component lies
     in {0, 1}, and components can only shrink as conjunctions grow. If either
     fails, the violating comparison itself is a valid separating functional,
-    so these shortcuts can never disagree with the LP verdict.
+    so these shortcuts can never disagree with the LP verdict. ``order`` is
+    ``p.scheme.sorted_sets()`` and ``masks`` their bitmasks.
     """
-    for s in p.scheme.sorted_sets():
-        v = p.values[s]
-        if v < 0:
-            return Outside({s: Fraction(-1)}, Fraction(0))
-        if v > 1:
-            return Outside({s: Fraction(1)}, Fraction(-1))
-    # sorted_sets orders by size, so in every pair the first set is the
-    # candidate subset of the second.
-    for a, b in combinations(p.scheme.sorted_sets(), 2):
-        if a < b and p.values[b] > p.values[a]:
-            return Outside({b: Fraction(1), a: Fraction(-1)}, Fraction(0))
+    values = [p.values[s] for s in order]
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+    outside = (nums < 0) | (nums > scale)
+    if outside.any():
+        i = int(np.argmax(outside))
+        if nums[i] < 0:
+            return Outside({order[i]: Fraction(-1)}, Fraction(0))
+        return Outside({order[i]: Fraction(1)}, Fraction(-1))
+    # a is a proper subset of b when mask_a & ~mask_b == 0 and a != b; sorted
+    # by size, a then comes first. nonzero lists these pairs in scan order (by
+    # a, then by b), so the first violation is the first in that scan.
+    bits = np.array(masks, dtype=np.int64 if p.scheme.n < 63 else object)
+    subset = (bits[:, None] & ~bits) == 0
+    np.fill_diagonal(subset, False)
+    below, above = np.nonzero(subset)
+    violated = nums[above] > nums[below]
+    if violated.any():
+        k = int(np.argmax(violated))
+        return Outside({order[above[k]]: Fraction(1), order[below[k]]: Fraction(-1)}, Fraction(0))
     return None
 
 
@@ -180,21 +191,19 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     if n > n_max:
         raise TooLarge(f"{n} events means 2^{n} columns; raise n_max to force the run")
 
-    quick = _quick_separation(p)
+    order = p.scheme.sorted_sets()
+    masks = [_mask(s) for s in order]
+    quick = _quick_separation(p, order, masks)
     if quick is not None:
         return quick
 
     rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
-    rows += [(_mask(s), p.values[s]) for s in p.scheme.sorted_sets()]
+    rows += [(mask, p.values[s]) for s, mask in zip(order, masks)]
     result = solve_zero_one_feasibility(n, rows)
     if result.feasible:
         return Inside({_bits(mask, n): w for mask, w in sorted(result.weights.items())})
     offset = result.farkas[0]
-    cert = {
-        s: y
-        for s, y in zip(p.scheme.sorted_sets(), result.farkas[1:])
-        if y
-    }
+    cert = {s: y for s, y in zip(order, result.farkas[1:]) if y}
     cert, offset = _normalize_certificate(cert, offset)
     return Outside(cert, offset)
 

@@ -19,13 +19,19 @@ functional y with ``y . column(eps) <= 0`` for every assignment and
 
 Arithmetic is exact and fraction-free (Edmonds 1967, Bareiss 1968). Basis
 columns are integer, so ``adj = D B^-1`` with ``D = |det B|`` is an integer
-matrix, and a pivot updates it with one exact integer division; the basic
-solution is kept as the integers ``D L x_B``, with L the lcm of the
-right-hand-side denominators. Pricing places the multipliers at the row masks
-of a 2^n array and sums over subsets (zeta transform), which gives every
-column's reduced cost at once. Arrays are int64 while a bound on their entries
-proves that no intermediate value can overflow, and Python integers (object
-dtype) from then on.
+matrix. One integer tableau of m + 1 rows holds the whole state: row i < m is
+``[adj S | D L x_B]`` and row m is ``[y S | D L w]``, with S the diagonal of
+row signs, L the lcm of the right-hand-side denominators, ``y = c_B adj`` the
+scaled phase-1 multipliers and w the phase-1 objective. With the signs folded
+into the columns, the last row obeys the same exact Bareiss row update as the
+others, so one update with one integer division pivots the basis inverse,
+the solution, the multipliers and the objective together. Pricing places
+``y S`` at the row masks of one 2^n buffer and sums over subsets in place
+(zeta transform), which gives every column's reduced cost at once; the
+tableau times the entering column gives the direction and, in its last
+entry, the entering reduced cost. The array is int64 while a bound on its
+entries proves that no intermediate value can overflow, and Python integers
+(object dtype) from then on.
 """
 
 from __future__ import annotations
@@ -58,10 +64,11 @@ class FeasibilityResult:
 
 
 def _needs_object(m: int, peak: int) -> bool:
-    """Whether one iteration on entries bounded by ``peak`` could leave int64.
+    """Whether one iteration on tableau entries bounded by ``peak`` could leave int64.
 
-    Pivot numerators reach ``2 m peak^2``; subset sums of the multipliers reach
-    ``m^2 peak``.
+    Pivot numerators reach ``2 m peak^2``. Reduced costs and the direction are
+    sums of at most m stored entries (the multipliers and the objective are
+    tableau entries, so they count toward ``peak``) and reach ``m peak``.
     """
     return m * peak * max(2 * peak, m) > _INT64_MAX
 
@@ -77,58 +84,60 @@ def solve_zero_one_feasibility(
     masks = np.array([mask for mask, _ in rows], dtype=np.int64)
     rhs = [Fraction(value) for _, value in rows]
 
-    # Flip row signs so the artificial start point b >= 0 is feasible.
+    # Flip row signs so the artificial start point b >= 0 is feasible; the
+    # signs then sit in the tableau's columns, as adj S and y S.
     scale = lcm(*(r.denominator for r in rhs))
     start = [abs(r.numerator) * (scale // r.denominator) for r in rhs]
-    dtype = object if _needs_object(m, max(start, default=1)) else np.int64
-    signs = np.array([1 if r >= 0 else -1 for r in rhs], dtype=dtype)
-    xb = np.array(start, dtype=dtype)
-    adj = np.identity(m, dtype=dtype)
+    signs = [1 if r >= 0 else -1 for r in rhs]
+    dtype = object if _needs_object(m, max(sum(start), 1)) else np.int64
+    tab = np.zeros((m + 1, m + 1), dtype=dtype)
+    tab[range(m), range(m)] = signs  # adj = identity, so adj S = S
+    tab[:m, m] = start
+    tab[m, :m] = signs  # y = c_B adj = 1 per row: every basic column is artificial
+    tab[m, m] = sum(start)
     det = 1
     basis = [ncols + i for i in range(m)]  # artificial column per row
-    artificial = np.ones(m, dtype=bool)
+    reduced = None
 
     while True:
-        if adj.dtype != object:
-            peak = max(np.abs(adj).max(initial=1), np.abs(xb).max(initial=1))
-            if _needs_object(m, int(peak)):
-                adj, xb, signs = (a.astype(object) for a in (adj, xb, signs))
-        # Multipliers y = c_B B^-1 with phase-1 costs: 1 on artificials, 0 else.
-        y = adj[artificial].sum(axis=0)
-        reduced = np.zeros(ncols, dtype=adj.dtype)
-        np.add.at(reduced, masks, y * signs)
-        for k in range(n):
-            half = reduced.reshape(-1, 2, 1 << k)
-            half[:, 1] += half[:, 0]
+        if tab.dtype != object and _needs_object(m, int(np.abs(tab).max())):
+            tab, reduced = tab.astype(object), None
+        if reduced is None:  # one pricing buffer per dtype, with its zeta half-views
+            reduced = np.zeros(ncols, dtype=tab.dtype)
+            halves = [(h[:, 0], h[:, 1]) for h in (reduced.reshape(-1, 2, 1 << k) for k in range(n))]
+        reduced.fill(0)
+        np.add.at(reduced, masks, tab[m, :m])
+        for lo, hi in halves:
+            np.add(hi, lo, out=hi)
         entering = int(np.argmax(reduced > 0))  # Bland: lowest assignment index
 
         if not reduced[entering] > 0:
-            if not xb[artificial].any():
+            if not tab[m, m]:
                 weights = {
-                    basis[i]: Fraction(int(xb[i]), det * scale)
+                    basis[i]: Fraction(int(tab[i, m]), det * scale)
                     for i in range(m)
-                    if not artificial[i] and xb[i]
+                    if basis[i] < ncols and tab[i, m]
                 }
                 return FeasibilityResult(weights=weights, farkas=None)
-            farkas = tuple(Fraction(int(v), det) for v in y * signs)
+            farkas = tuple(Fraction(int(v), det) for v in tab[m, :m])
             return FeasibilityResult(weights=None, farkas=farkas)
 
-        # Direction det * B^-1 column(entering); column entries are the row signs.
-        hit = (masks & ~entering) == 0
-        direction = adj[:, hit] @ signs[hit]
-        xs, ds = xb.tolist(), direction.tolist()
+        # det B^-1 column(entering), and in the last entry reduced[entering].
+        direction = tab[:, :m] @ ((masks & ~entering) == 0)
+        xs, ds = tab[:m, m].tolist(), direction.tolist()
         leave = -1
-        for i in np.flatnonzero(direction > 0).tolist():
+        for i in np.flatnonzero(direction[:m] > 0).tolist():
             # Ratio test by cross-multiplication, ties to the lowest basis index.
             if leave < 0 or (xs[i] * ds[leave], basis[i]) < (xs[leave] * ds[i], basis[leave]):
                 leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective is bounded below; no unbounded direction exists")
 
-        pivot, row, x_leave = ds[leave], adj[leave], xb[leave]
-        adj = (pivot * adj - np.outer(direction, row)) // det
-        xb = (pivot * xb - direction * x_leave) // det
-        adj[leave], xb[leave] = row, x_leave
+        # One Bareiss step pivots adj, the solution, the multipliers and the objective.
+        pivot, row = ds[leave], tab[leave].copy()
+        tab *= pivot
+        tab -= np.outer(direction, row)
+        tab //= det
+        tab[leave] = row
         det = pivot
         basis[leave] = entering
-        artificial[leave] = False

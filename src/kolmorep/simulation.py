@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .censorship import MeasurementSuite, SetupDistribution, context_space
+from .errors import TooLarge
 from .rational import DEFAULT_POLICY, RationalizationPolicy
 
 PRNG_ALGORITHM = "PCG64"
@@ -75,6 +76,8 @@ class FrequencyEstimate:
 def _integer_sampler(rng: np.random.Generator, weights: Sequence[Fraction], size: int) -> np.ndarray:
     """Indices drawn exactly according to rational weights via integer inversion."""
     denom = lcm(*(w.denominator for w in weights))
+    if denom >= 2**63:  # the cuts and the draws are int64; the last cut is denom
+        raise TooLarge(f"common denominator {denom} of the sampling weights does not fit in int64")
     cuts = np.cumsum([int(w * denom) for w in weights])
     draws = rng.integers(0, denom, size=size)
     return np.searchsorted(cuts, draws, side="right")

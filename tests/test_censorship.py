@@ -229,6 +229,24 @@ def test_context_space_rejects_an_index_outside_the_suite(orsay_setup, context, 
     assert type(info.value) is KolmorepError
 
 
+@pytest.mark.parametrize("index_set, bad", [({0}, 0), ({5}, 5), ({-1, 2}, -1)])
+def test_moment_rejects_an_index_outside_the_suite(orsay_setup, index_set, bad):
+    suite, _ = orsay_setup
+    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
+    with pytest.raises(KolmorepError, match=message) as info:
+        suite.moment(index_set)
+    assert type(info.value) is KolmorepError
+
+
+@pytest.mark.parametrize("outcomes, switches, bad", [({0}, set(), 0), ({5}, set(), 5), ({1}, {5}, 5)])
+def test_effective_probability_rejects_an_index_outside_the_suite(orsay_setup, outcomes, switches, bad):
+    suite, dist = orsay_setup
+    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
+    with pytest.raises(KolmorepError, match=message) as info:
+        effective_probability(suite, dist, outcomes, switches)
+    assert type(info.value) is KolmorepError
+
+
 def test_negative_derived_atom_is_a_numerical_failure():
     w = Operator(np.diag([0.6, 0.2, 0.2, 0.0]), tags=("density",))
     a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))

@@ -141,6 +141,63 @@ def test_equals_reference_on_orsay_effective_vector():
     check_weights(8, rows, res.weights)
 
 
+def test_duplicate_row_masks_equal_reference():
+    # Rows sharing a mask add their multipliers at one pricing entry.
+    rng = random.Random(11)
+    systems = [
+        (2, [(0, F(1)), (mask(1), F(1, 2)), (mask(1), F(1, 2))]),
+        (2, [(0, F(1)), (mask(1), F(1, 2)), (mask(1), F(1, 3))]),
+        (2, [(0, F(1)), (0, F(1)), (mask(1, 2), F(1, 4))]),
+    ]
+    for k in range(60):
+        n = 2 + k % 3
+        masks = [0] + rng.choices(range(1 << n), k=rng.randint(2, 2 * n))
+        systems.append((n, list(zip(masks, random_rhs(rng, n, masks, ("inside", "outside")[k % 2])))))
+    verdicts = set()
+    for n, rows in systems:
+        res = solve_zero_one_feasibility(n, rows)
+        assert res == reference_solve(n, rows), (n, rows)
+        verdicts.add(res.feasible)
+    assert verdicts == {True, False}
+
+
+def pair_scheme_rows(rng, n, nudge):
+    """Singletons and pairs of a mixture of n + 2 assignments, one pair moved by 1/16 if nudged."""
+    pairs = [mask(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    masks = [0] + [mask(i) for i in range(1, n + 1)] + pairs
+    points = [rng.randrange(1 << n) for _ in range(n + 2)]
+    cuts = sorted(F(rng.randint(0, 12), 12) for _ in range(n + 1))
+    weights = [b - a for a, b in zip([F(0)] + cuts, cuts + [F(1)])]
+    values = [sum((w for eps, w in zip(points, weights) if column_entry(t, eps)), F(0)) for t in masks]
+    if nudge:
+        k = rng.randrange(n + 1, len(masks))
+        values[k] += F(1, 16) if values[k] + F(1, 16) <= 1 else F(-1, 16)
+    return list(zip(masks, values))
+
+
+def test_equals_reference_on_pair_scheme_corpus():
+    rng = random.Random(5)
+    verdicts = set()
+    for n, count in ((5, 6), (6, 2)):
+        for k in range(count):
+            rows = pair_scheme_rows(rng, n, nudge=k % 2 == 1)
+            res = solve_zero_one_feasibility(n, rows)
+            assert res == reference_solve(n, rows), (n, rows)
+            verdicts.add(res.feasible)
+    assert verdicts == {True, False}
+
+
+def test_objective_entry_counts_toward_the_guard_peak(monkeypatch):
+    # Start point L |r| = (6, 3, 2, 1): the objective entry 12 is the peak.
+    rows = [(0, F(1)), (mask(1), F(1, 2)), (mask(2), F(1, 3)), (mask(1, 2), F(1, 6))]
+    peaks = []
+    guard = simplex._needs_object
+    monkeypatch.setattr(simplex, "_needs_object", lambda m, peak: peaks.append(peak) or guard(m, peak))
+    res = solve_zero_one_feasibility(2, rows)
+    assert peaks[0] == 12
+    assert res == reference_solve(2, rows)
+
+
 def record_guard(monkeypatch):
     """Wrap the int64 guard so a test can see which dtype each iteration ran on."""
     calls = []

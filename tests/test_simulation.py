@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from kolmorep import effective_probability, validate_distribution, compute_compatibility
+from kolmorep import TooLarge, effective_probability, validate_distribution, compute_compatibility
 from kolmorep.orsay import OrsayConfig, build_suite, switch_distribution
 from kolmorep.simulation import estimate, run
 
@@ -30,6 +31,25 @@ def test_single_trial_concentrated_distribution(orsay_setup):
     assert record.trial == 0
     assert record.context == ("A'", "B")
     assert len(record.bits) == 2
+
+
+@pytest.mark.parametrize(
+    "small, denom",
+    [
+        ([F(1, 3000001), F(1, 3000002), F(1, 3000003)], lcm(3000001, 3000002, 3000003)),
+        ([F(1, 2**63)], 2**63),  # the last cut, 2^63, would wrap in an int64 cumsum
+    ],
+)
+def test_denominator_beyond_int64_draws_is_too_large(orsay_setup, small, denom):
+    suite, _ = orsay_setup
+    structure = compute_compatibility(suite)
+    contexts = [frozenset(c) for c in ({1, 3}, {1, 4}, {2, 3}, {2, 4})]
+    weights = small + [1 - sum(small)]
+    dist = validate_distribution(dict(zip(contexts, weights)), structure)
+    assert lcm(*(w.denominator for w in weights)) == denom >= 2**63
+    message = rf"^common denominator {denom} of the sampling weights does not fit in int64$"
+    with pytest.raises(TooLarge, match=message):
+        run(suite, dist, 10, seed=1)
 
 
 def test_trials_must_be_positive(orsay_setup):
