@@ -17,13 +17,22 @@ moments tr(W prod_{i in I} A_i); each is identified with an exact fraction
 once per suite and policy (``MeasurementSuite.moment``), and every mass and
 probability is derived from those fractions exactly, so the verification is
 exact and the context marginals agree by construction.
+
+Verification decides on rows, not on the 4^n table of joint measures. Each
+switch mask sigma (of a point or of a support context) gets one row over the
+2^n outcome masks: the found row sums the glued space's point masses, the
+expected row is kappa_sigma times the moments inside sigma. Every joint
+measure and every effective probability is a sum of rows over the switch
+masks containing I2, and that sum is invertible, so the rows agree exactly
+when every checked pair does. The table is built only for a space that fails,
+to list its mismatches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb, lcm
 from typing import Iterable, Mapping, Optional
@@ -47,7 +56,7 @@ from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
 from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
-MAX_VERIFIED_N = 11  # the 4^n joint measures live in one array: 32 MB of int64 at n = 11
+MAX_VERIFIED_N = 11  # a space that fails lists its mismatches from one 4^n array: 32 MB of int64 at n = 11
 _BLOCK = 1 << 12  # entries per block of the comparison: its temporaries stay small
 
 
@@ -135,7 +144,10 @@ class MeasurementSuite:
         numerical failure; smaller negative noise is clamped to 0 before
         rationalization.
         """
-        mask = self._mask_of(index_set)
+        return self._mask_moment(self._mask_of(index_set), policy)
+
+    def _mask_moment(self, mask: int, policy: RationalizationPolicy) -> Fraction:
+        """``moment`` of the members of a mask whose indices are already checked."""
         key = (mask, policy)
         value = self._moments.get(key)
         if value is None:
@@ -153,9 +165,15 @@ class MeasurementSuite:
     def commuting_pairs(self) -> frozenset:
         """Every index pair {i, j} whose projectors commute, tested once per suite."""
         return frozenset(
-            frozenset(pair) for pair in combinations(range(1, self.n + 1), 2)
-            if commutes(self.proj(pair[0]), self.proj(pair[1]))
+            _pair(i, j) for i, j in combinations(range(1, self.n + 1), 2)
+            if commutes(self.proj(i), self.proj(j))
         )
+
+
+@cache
+def _pair(i: int, j: int) -> frozenset:
+    """frozenset({i, j}), one object per index pair for every suite to share."""
+    return frozenset((i, j))
 
 
 @dataclass(frozen=True)
@@ -239,6 +257,8 @@ def context_space(
     wherever they overlap. A negative atom means the rationalized moments
     admit no distribution; it is reported as a numerical failure, never
     clamped. Atom masses may have denominators above the policy's bound.
+    The inversion runs on the moments' integer numerators over their common
+    denominator, and each atom becomes one fraction at the end.
     """
     members = sorted(frozenset(context))
     if not members:
@@ -249,31 +269,40 @@ def context_space(
             raise IncompatibleContext(f"measurements {a!r} and {b!r} do not commute")
 
     k = len(members)
-    # mass[mask] starts as the moment of the members whose bits are set ...
-    mass = [
-        suite.moment((i for pos, i in enumerate(members) if mask >> pos & 1), policy)
-        for mask in range(1 << k)
-    ]
+    # atoms[sub] starts as the moment of the members whose bits are set in sub, over a common denominator ...
+    masks = [0]
+    for i in members:
+        masks += [mask | 1 << (i - 1) for mask in masks]
+    den, atoms = _scaled([suite._mask_moment(mask, policy) for mask in masks])
     # ... and Moebius inversion over supersets turns it into the atom with exactly those hits.
     for pos in range(k):
         bit = 1 << pos
-        for mask in range(1 << k):
-            if not mask & bit:
-                mass[mask] -= mass[mask | bit]
-    if min(mass) < 0:
+        for sub in range(1 << k):
+            if not sub & bit:
+                atoms[sub] -= atoms[sub | bit]
+    if min(atoms) < 0:
         raise NumericalFailure(
-            f"context {names} has a negative atom {min(mass)}: "
+            f"context {names} has a negative atom {Fraction(min(atoms), den)}: "
             "its rationalized moments admit no distribution"
         )
 
-    point_bits = list(product((1, 0), repeat=k))
-    masses = [mass[sum(b << pos for pos, b in enumerate(bits))] for bits in point_bits]
-    ids = tuple("".join(str(b) for b in bits) for bits in point_bits)
-    events = {
-        name: frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos])
-        for pos, name in enumerate(names)
-    }
-    return KolmogorovSpace(ids, dict(zip(ids, masses)), events)
+    ids, order, hits = _outcome_points(k)
+    mass = {pid: Fraction(atoms[sub], den) for pid, sub in zip(ids, order)}
+    return KolmogorovSpace(ids, mass, dict(zip(names, hits)))
+
+
+@cache
+def _outcome_points(k: int) -> tuple:
+    """Point ids of a k-member context, each point's atom mask, and each member's hit points.
+
+    An id has one character per member in order, "1" for a hit; the points
+    run from all hits down to all misses.
+    """
+    point_bits = tuple(product((1, 0), repeat=k))
+    ids = tuple("".join(map(str, bits)) for bits in point_bits)
+    order = tuple(sum(b << pos for pos, b in enumerate(bits)) for bits in point_bits)
+    hits = tuple(frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos]) for pos in range(k))
+    return ids, order, hits
 
 
 def effective_probability(
@@ -329,19 +358,16 @@ def build_censored_space(
     switch_sets = {name: set() for name in suite.names}
 
     for context in dist.support:
-        members = sorted(context)
-        label = ",".join(suite.name_of(i) for i in members)
+        names = [suite.name_of(i) for i in sorted(context)]
+        label = ",".join(names)
         local = context_space(context, suite, policy)
         kappa = dist.weights[context]
-        for pid in local.points:
-            full_id = f"{label}|{pid}"
-            points.append(full_id)
-            mass[full_id] = kappa * local.mass[pid]
-            for pos, i in enumerate(members):
-                name = suite.name_of(i)
-                switch_sets[name].add(full_id)
-                if pid[pos] == "1":
-                    outcome_sets[name].add(full_id)
+        full_ids = {pid: f"{label}|{pid}" for pid in local.points}
+        points += full_ids.values()
+        mass.update((full_id, kappa * local.mass[pid]) for pid, full_id in full_ids.items())
+        for name in names:
+            switch_sets[name].update(full_ids.values())
+            outcome_sets[name].update(map(full_ids.__getitem__, local.events[name]))
 
     outcome_keys = {name: name for name in suite.names}
     switch_keys = {name: f"{SWITCH_EVENT_PREFIX}{name}" for name in suite.names}
@@ -378,9 +404,9 @@ def _members(mask: int) -> tuple:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _superset_sums(a: np.ndarray, bits: int) -> np.ndarray:
-    """In place over 2^bits entries: a[S] becomes the sum of a[T] over every T containing S."""
-    for b in range(bits):
+def _superset_sums(a: np.ndarray, bits: Iterable[int]) -> np.ndarray:
+    """In place: a[S] becomes the sum of a[T] over every T that contains S and differs only in these bits."""
+    for b in bits:
         half = a.reshape(-1, 2, 1 << b)
         half[:, 0] += half[:, 1]
     return a
@@ -434,10 +460,22 @@ def verify_censorship(
     most ``MAX_VERIFIED_N`` measurements. Mismatches are collected, not
     raised, ordered by I1 and then I2, each by size and then lexicographically.
 
-    Both sides are exact integer arrays over (switch mask, outcome mask).
-    Found: superset sums of ``effective_decomposition``'s weights. Expected:
-    sw[I1 | I2] * m[I1], with sw the superset sums of the context weights and
-    m the suite's moments. They are cross-multiplied a block of rows at a time.
+    The decision is made on switch rows: one exact integer row over the 2^n
+    outcome masks o per switch mask sigma that a point or a support context
+    has. Found: local[sigma][o], the superset sums over the outcome bits of
+    ``effective_decomposition``'s weights with switch mask sigma. Expected:
+    kappa_sigma * m[o] when sigma is a support context containing o, else 0,
+    with m the suite's moments. Summing rows over the switch masks that
+    contain I2 gives both sides of every pair,
+
+        found[I2, I1] = sum_{sigma >= I2} local[sigma][I1],
+        sw[I1 | I2] * m[I1] = sum_{sigma >= I2} expected[sigma][I1],
+
+    and that sum is invertible (Moebius), so rows that agree by
+    cross-multiplication in every column with |o| <= max_order verify every
+    checked pair. Only when some row disagrees is the 4^n table of found
+    measures built from the rows and compared with sw[I1 | I2] * m[I1], a
+    block of rows at a time, to list the mismatches.
     """
     n = suite.n
     max_order = 2 * n if max_order is None else max_order
@@ -450,26 +488,41 @@ def verify_censorship(
     den, point_weights = _point_weights(censored, suite)
     kden, kappas = _scaled([dist.weights[j] for j in dist.support])
     contexts = [_mask(j) for j in dist.support]
+    # One row per switch mask: the support contexts first, then the points' other masks.
+    switches = list(dict.fromkeys(contexts + [mask >> n for mask in point_weights]))
+    row = {sigma: r for r, sigma in enumerate(switches)}
+    outcomes = np.arange(size)
+    inside = (outcomes & np.array(switches)[:, None]) == outcomes
     # The moments that effective probabilities up to max_order ask for.
     popcount = np.array([u.bit_count() for u in range(size)])
-    covered = np.zeros(size, dtype=bool)
-    covered[contexts] = True
-    needed = np.flatnonzero(_superset_sums(covered, n) & (popcount <= max_order)).tolist()
-    mden, moments = _scaled([suite.moment(_members(u), policy) for u in needed])
+    needed = np.flatnonzero(inside[:len(contexts)].any(axis=0) & (popcount <= max_order)).tolist()
+    mden, moments = _scaled([suite._mask_moment(u, policy) for u in needed])
 
-    # Found entries are at most den, sw entries at most the weight total.
+    # Found entries are at most den, sw entries at most the weight total, and
+    # the empty moment is needed, so max(moments) >= mden bounds both sides.
     peak = den * max(kden, sum(kappas)) * max(moments, default=1)
     dtype = np.int64 if peak <= _INT64_MAX else object
-    found, sw, m = (np.zeros(k, dtype=dtype) for k in (size * size, size, size))
-    found[list(point_weights)] = list(point_weights.values())
-    table = _superset_sums(found, 2 * n).reshape(size, size)
-    sw[contexts] = kappas
-    _superset_sums(sw, n)
+    local, kappa, m = (np.zeros(k, dtype=dtype) for k in (len(switches) * size, len(switches), size))
+    local[[row[mask >> n] * size + (mask & (size - 1)) for mask in point_weights]] = list(point_weights.values())
+    local = _superset_sums(local, range(n)).reshape(-1, size)
+    kappa[:len(contexts)] = kappas
     m[needed] = moments
 
-    scale, rows, hits = kden * mden, max(1, _BLOCK >> n), []
+    scale = kden * mden
+    bad = local * scale != kappa[:, None] * m * inside * den
+    if max_order < n:
+        bad &= popcount <= max_order
+    checked = sum(comb(n, k) * 3**k for k in range(min(max_order, n) + 1))
+    if not bad.any():
+        return VerificationReport(checked, max_order, ())
+
+    table = _found_table(local, switches, dtype)
+    sw = np.zeros(size, dtype=dtype)
+    sw[contexts] = kappas
+    _superset_sums(sw, range(n))
+    rows, hits = max(1, _BLOCK >> n), []
     for start in range(0, size, rows):
-        union = np.arange(start, min(start + rows, size))[:, None] | np.arange(size)
+        union = np.arange(start, min(start + rows, size))[:, None] | outcomes
         bad = table[start:start + rows] * scale != sw[union] * m * den
         if max_order < n:
             bad &= popcount[union] <= max_order
@@ -481,8 +534,16 @@ def verify_censorship(
                              Fraction(int(table[s, o]), den))
         for s, o in hits
     )
-    checked = sum(comb(n, k) * 3**k for k in range(min(max_order, n) + 1))
     return VerificationReport(checked, max_order, mismatches)
+
+
+def _found_table(local: np.ndarray, switches: list, dtype) -> np.ndarray:
+    """The 4^n found measures table[I2, I1]: the rows local[sigma] summed over every sigma containing I2."""
+    size = local.shape[1]
+    table = np.zeros(size * size, dtype=dtype)
+    table.reshape(size, size)[switches] = local
+    n = size.bit_length() - 1
+    return _superset_sums(table, range(n, 2 * n)).reshape(size, size)
 
 
 @dataclass(frozen=True)

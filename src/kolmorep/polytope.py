@@ -230,9 +230,13 @@ class KolmogorovSpace:
             raise InvalidDistribution("duplicate point identifiers")
         if frozenset(self.mass.keys()) != pts:
             raise InvalidDistribution("masses must cover the points exactly")
-        if any(m < 0 for m in self.mass.values()):
+        # Exact checks on integer numerators over the common denominator; a float counts at its exact value.
+        masses = [Fraction(m) if isinstance(m, float) else m for m in self.mass.values()]
+        den = math.lcm(*(m.denominator for m in masses))
+        numerators = [m.numerator * (den // m.denominator) for m in masses]
+        if min(numerators, default=0) < 0:
             raise InvalidDistribution("point masses must be non-negative")
-        if sum(self.mass.values(), Fraction(0)) != 1:
+        if sum(numerators) != den:
             raise InvalidDistribution("point masses must sum to one")
         for name, ev in self.events.items():
             if not ev <= pts:

@@ -119,6 +119,15 @@ def test_each_pair_is_tested_once_per_suite(monkeypatch):
     assert len(calls) == suite.n * (suite.n - 1) // 2
 
 
+def test_suites_share_one_frozenset_per_pair():
+    first = orsay.build_suite(orsay.OrsayConfig())
+    second = orsay.build_suite(orsay.OrsayConfig.from_degrees(GENERIC_ANGLES[0]))
+    assert first.commuting_pairs == second.commuting_pairs == pair_family({1, 3}, {1, 4}, {2, 3}, {2, 4})
+    shared = {tuple(sorted(pair)): pair for pair in first.commuting_pairs}
+    for pair in second.commuting_pairs:
+        assert type(pair) is frozenset and pair is shared[tuple(sorted(pair))]
+
+
 # --- setup distributions ---------------------------------------------------------
 
 def test_validate_distribution_accepts_orsay(orsay_setup):
@@ -256,6 +265,19 @@ def test_negative_derived_atom_is_a_numerical_failure():
     assert [suite.moment(s, coarse) for s in ({1}, {2}, {1, 2})] == [1, 1, F(1, 2)]
     # atom 00 = 1 - 1 - 1 + 1/2
     with pytest.raises(NumericalFailure, match="negative atom -1/2"):
+        context_space({1, 2}, suite, coarse)
+
+
+def test_negative_atom_is_named_as_a_fraction_in_lowest_terms():
+    w = Operator(np.diag([0.58, 0.21, 0.205, 0.005]), tags=("density",))
+    a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))
+    b = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [("A", a), ("B", b)])
+    coarse = RationalizationPolicy(tolerance=0.02, max_denominator=7)
+    assert [suite.moment(s, coarse) for s in ({1}, {2}, {1, 2})] == [F(4, 5), F(4, 5), F(4, 7)]
+    # atom 00 = 1 - 4/5 - 4/5 + 4/7, over the moments' common denominator 35
+    message = r"^context \['A', 'B'\] has a negative atom -1/35: its rationalized moments admit no distribution$"
+    with pytest.raises(NumericalFailure, match=message):
         context_space({1, 2}, suite, coarse)
 
 
@@ -549,6 +571,124 @@ def test_verify_equals_reference_on_corrupted_spaces(how):
     for suite, dist, _oracle in cases:
         broken = corrupted(build_censored_space(suite, dist), how)
         assert not assert_same_reports(broken, suite, dist).ok
+
+
+def assert_same_reports_at_every_order(censored, suite, dist):
+    reports = []
+    for order in range(1, 2 * suite.n + 1):
+        reports.append(verify_censorship(censored, suite, dist, max_order=order))
+        assert reports[-1] == reference_verify(censored, suite, dist, max_order=order), order
+    return reports
+
+
+def small_cases():
+    rng = random.Random(909)
+    cases = [random_censorship_case(rng, n_range=(n, n)) for n in range(2, 6)]
+    return [(suite, dist) for suite, dist, _oracle in cases] + [orsay_case(orsay.DEFAULT_ANGLES_DEG)]
+
+
+def moved_context(censored, suite, dist):
+    """The points of the first support context, switched into the second one's measurements instead."""
+    source, target = dist.support[:2]
+    space = censored.space
+    label = ",".join(suite.name_of(i) for i in sorted(source)) + "|"
+    moved = frozenset(p for p in space.points if p.startswith(label))
+    events = dict(space.events)
+    for i in range(1, suite.n + 1):
+        key = censored.switch_events[suite.name_of(i)]
+        events[key] = events[key] - moved | (moved if i in target else frozenset())
+    return CensoredSpace(KolmogorovSpace(space.points, space.mass, events), censored.outcome_events,
+                         censored.switch_events)
+
+
+def stray_switch(censored, suite, dist):
+    """The heaviest point also lies in the switch event of a measurement outside its context."""
+    context = dist.support[0]
+    outside = next(i for i in range(1, suite.n + 1) if i not in context)
+    space = censored.space
+    label = ",".join(suite.name_of(i) for i in sorted(context)) + "|"
+    point = max((p for p in space.points if p.startswith(label)), key=space.mass.get)
+    events = dict(space.events)
+    key = censored.switch_events[suite.name_of(outside)]
+    events[key] = events[key] | {point}
+    return CensoredSpace(KolmogorovSpace(space.points, space.mass, events), censored.outcome_events,
+                         censored.switch_events)
+
+
+def test_verify_equals_reference_at_every_order_on_valid_suites():
+    for suite, dist in small_cases():
+        reports = assert_same_reports_at_every_order(build_censored_space(suite, dist), suite, dist)
+        assert all(report.ok for report in reports)
+
+
+@pytest.mark.parametrize("how", ["moved mass", "dropped outcome point", "shrunken switch event"])
+def test_verify_equals_reference_at_every_order_on_corrupted_spaces(how):
+    for suite, dist in small_cases():
+        broken = corrupted(build_censored_space(suite, dist), how)
+        assert not assert_same_reports_at_every_order(broken, suite, dist)[-1].ok
+
+
+def test_verify_equals_reference_when_a_context_lost_its_points_to_another():
+    cases = [(suite, dist) for suite, dist in small_cases() if len(dist.support) >= 2]
+    assert len(cases) >= 3
+    for suite, dist in cases:
+        broken = moved_context(build_censored_space(suite, dist), suite, dist)
+        assert not assert_same_reports_at_every_order(broken, suite, dist)[-1].ok
+
+
+def test_verify_equals_reference_when_a_point_has_a_switch_mask_outside_the_support():
+    cases = [(suite, dist) for suite, dist in small_cases() if len(dist.support[0]) < suite.n]
+    assert len(cases) >= 3
+    for suite, dist in cases:
+        broken = stray_switch(build_censored_space(suite, dist), suite, dist)
+        assert not assert_same_reports_at_every_order(broken, suite, dist)[-1].ok
+
+
+@pytest.mark.parametrize("int64_max, dtype", [(None, np.int64), (2**5, object)])
+def test_verify_equals_reference_at_every_order_on_both_dtypes(monkeypatch, int64_max, dtype):
+    if int64_max is not None:
+        monkeypatch.setattr(censorship, "_INT64_MAX", int64_max)
+    dtypes = record_dtypes(monkeypatch)
+    for suite, dist in small_cases()[::2]:
+        censored = build_censored_space(suite, dist)
+        assert_same_reports_at_every_order(censored, suite, dist)
+        assert_same_reports_at_every_order(corrupted(censored, "moved mass"), suite, dist)
+    assert set(dtypes) - {bool} == {dtype}
+
+
+def count_tables(monkeypatch):
+    """Spy on the builder of the 4^n table: one entry per table built."""
+    built = []
+    real_found_table = censorship._found_table
+
+    def spy(*args):
+        built.append(1)
+        return real_found_table(*args)
+
+    monkeypatch.setattr(censorship, "_found_table", spy)
+    return built
+
+
+def test_a_space_that_verifies_never_builds_the_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the 4^n table was built")
+
+    monkeypatch.setattr(censorship, "_found_table", refuse)
+    for suite, dist, _oracle in random_cases():
+        censored = build_censored_space(suite, dist)
+        for order in orders(suite.n):
+            assert verify_censorship(censored, suite, dist, max_order=order).ok
+    suite, dist = orsay_case((37, 0, 0, 200))
+    assert verify_censorship(build_censored_space(suite, dist), suite, dist).ok
+
+
+def test_a_broken_space_lists_the_reference_mismatches_from_the_table(monkeypatch):
+    built = count_tables(monkeypatch)
+    suite, dist = orsay_case(orsay.DEFAULT_ANGLES_DEG)
+    broken = corrupted(build_censored_space(suite, dist), "moved mass")
+    report = verify_censorship(broken, suite, dist)
+    assert built == [1] and not report.ok
+    assert report == reference_verify(broken, suite, dist, max_order=2 * suite.n)
 
 
 @pytest.mark.parametrize("order", [0, -1])

@@ -223,3 +223,33 @@ def test_evaluate_unknown_event():
 def test_mass_must_sum_to_one():
     with pytest.raises(InvalidDistribution):
         KolmogorovSpace(("x", "y"), {"x": F(1, 2), "y": F(1, 3)}, {})
+
+
+def test_negative_mass_is_rejected():
+    with pytest.raises(InvalidDistribution, match="non-negative"):
+        KolmogorovSpace(("x", "y"), {"x": F(3, 2), "y": F(-1, 2)}, {})
+    with pytest.raises(InvalidDistribution, match="non-negative"):
+        KolmogorovSpace(("x", "y"), {"x": 2, "y": -1}, {})
+
+
+@pytest.mark.parametrize("mass", [
+    {"x": 1, "y": 0},
+    {"x": 0, "y": F(1, 3), "z": F(2, 3)},
+    {"x": F(1, 6), "y": F(1, 10), "z": F(11, 15)},
+    {"x": 0.25, "y": 0.75},
+])
+def test_integer_fraction_and_dyadic_float_masses_that_sum_to_one(mass):
+    space = KolmogorovSpace(tuple(mass), mass, {"E": frozenset({"x"})})
+    assert evaluate(space, {"E"}) == mass["x"]
+
+
+@pytest.mark.parametrize("mass", [
+    {"x": 1, "y": 1},
+    {"x": 1, "y": F(1, 2)},
+    {"x": F(1, 6), "y": F(1, 10), "z": F(11, 16)},
+    {"x": 0.1, "y": 0.9},  # their float sum rounds to 1.0; their exact values sum to 1 + 2^-55
+    {},
+])
+def test_masses_that_do_not_sum_to_one_are_rejected(mass):
+    with pytest.raises(InvalidDistribution, match="sum to one"):
+        KolmogorovSpace(tuple(mass), mass, {})
