@@ -24,8 +24,8 @@ switch mask sigma (of a point or of a support context) gets one row over the
 expected row is kappa_sigma times the moments inside sigma. Every joint
 measure and every effective probability is a sum of rows over the switch
 masks containing I2, and that sum is invertible, so the rows agree exactly
-when every checked pair does. The table is built only for a space that fails,
-to list its mismatches.
+when every checked pair does. A space that fails lists its mismatches from the
+same rows, one superset sum over the switch bits per column that disagrees.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
 from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
-MAX_VERIFIED_N = 11  # a space that fails lists its mismatches from one 4^n array: 32 MB of int64 at n = 11
-_BLOCK = 1 << 12  # entries per block of the comparison: its temporaries stay small
+MAX_COMPARED = 1 << 22  # integers compared in one verification pass: 32 MB of int64
 
 
 @dataclass(frozen=True)
@@ -456,9 +455,9 @@ def verify_censorship(
     """Compare every joint event measure against its effective probability.
 
     Runs over all pairs (I1, I2) of outcome and switch index sets with
-    |I1 union I2| <= max_order (at least 1; default 2n, every pair), for at
-    most ``MAX_VERIFIED_N`` measurements. Mismatches are collected, not
-    raised, ordered by I1 and then I2, each by size and then lexicographically.
+    |I1 union I2| <= max_order (at least 1; default 2n, every pair).
+    Mismatches are collected, not raised, ordered by I1 and then I2, each by
+    size and then lexicographically.
 
     The decision is made on switch rows: one exact integer row over the 2^n
     outcome masks o per switch mask sigma that a point or a support context
@@ -473,16 +472,15 @@ def verify_censorship(
 
     and that sum is invertible (Moebius), so rows that agree by
     cross-multiplication in every column with |o| <= max_order verify every
-    checked pair. Only when some row disagrees is the 4^n table of found
-    measures built from the rows and compared with sw[I1 | I2] * m[I1], a
-    block of rows at a time, to list the mismatches.
+    checked pair. A mismatch lies in a column where some row disagrees; both
+    sides of each such column are summed over the switch bits and compared
+    pair by pair. Switch rows and disagreeing columns, times 2^n, may each be
+    at most ``MAX_COMPARED``; more raise ``TooLarge`` before that pass allocates.
     """
     n = suite.n
     max_order = 2 * n if max_order is None else max_order
     if max_order < 1:
         raise KolmorepError(f"max_order must be at least 1, got {max_order}")
-    if n > MAX_VERIFIED_N:
-        raise TooLarge(f"{n} measurements means 4^{n} event pairs; at most {MAX_VERIFIED_N} are verified")
     size = 1 << n
 
     den, point_weights = _point_weights(censored, suite)
@@ -490,12 +488,19 @@ def verify_censorship(
     contexts = [_mask(j) for j in dist.support]
     # One row per switch mask: the support contexts first, then the points' other masks.
     switches = list(dict.fromkeys(contexts + [mask >> n for mask in point_weights]))
+    if len(switches) << n > MAX_COMPARED:
+        raise TooLarge(f"{len(switches)} switch rows of 2^{n} entries exceed {MAX_COMPARED} per pass")
     row = {sigma: r for r, sigma in enumerate(switches)}
     outcomes = np.arange(size)
     inside = (outcomes & np.array(switches)[:, None]) == outcomes
     # The moments that effective probabilities up to max_order ask for.
-    popcount = np.array([u.bit_count() for u in range(size)])
-    needed = np.flatnonzero(inside[:len(contexts)].any(axis=0) & (popcount <= max_order)).tolist()
+    needed = inside[:len(contexts)].any(axis=0)
+    if max_order < n:  # only then can an outcome set be too large
+        popcount = np.zeros_like(outcomes)  # bit counts, doubled one bit at a time
+        for b in range(n):
+            popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+        needed &= popcount <= max_order
+    needed = np.flatnonzero(needed).tolist()
     mden, moments = _scaled([suite._mask_moment(u, policy) for u in needed])
 
     # Found entries are at most den, sw entries at most the weight total, and
@@ -513,37 +518,27 @@ def verify_censorship(
     if max_order < n:
         bad &= popcount <= max_order
     checked = sum(comb(n, k) * 3**k for k in range(min(max_order, n) + 1))
-    if not bad.any():
+
+    if not bad.any():  # the space verifies: nothing to list
         return VerificationReport(checked, max_order, ())
 
-    table = _found_table(local, switches, dtype)
-    sw = np.zeros(size, dtype=dtype)
-    sw[contexts] = kappas
-    _superset_sums(sw, range(n))
-    rows, hits = max(1, _BLOCK >> n), []
-    for start in range(0, size, rows):
-        union = np.arange(start, min(start + rows, size))[:, None] | outcomes
-        bad = table[start:start + rows] * scale != sw[union] * m * den
-        if max_order < n:
-            bad &= popcount[union] <= max_order
-        s, o = np.nonzero(bad)
-        hits += zip((s + start).tolist(), o.tolist())
-    hits.sort(key=lambda so: (so[1].bit_count(), _members(so[1]), so[0].bit_count(), _members(so[0])))
-    mismatches = tuple(
-        VerificationMismatch(_members(o), _members(s), Fraction(int(sw[o | s]) * int(m[o]), scale),
-                             Fraction(int(table[s, o]), den))
-        for s, o in hits
-    )
-    return VerificationReport(checked, max_order, mismatches)
-
-
-def _found_table(local: np.ndarray, switches: list, dtype) -> np.ndarray:
-    """The 4^n found measures table[I2, I1]: the rows local[sigma] summed over every sigma containing I2."""
-    size = local.shape[1]
-    table = np.zeros(size * size, dtype=dtype)
-    table.reshape(size, size)[switches] = local
-    n = size.bit_length() - 1
-    return _superset_sums(table, range(n, 2 * n)).reshape(size, size)
+    columns = np.flatnonzero(bad.any(axis=0))
+    if len(columns) << n > MAX_COMPARED:
+        raise TooLarge(f"{len(columns)} disagreeing columns of 2^{n} entries exceed {MAX_COMPARED} per pass")
+    # Both sides of each disagreeing column o over one denominator, summed over the switch masks containing I2.
+    found, effective = (np.zeros((len(columns), size), dtype=dtype) for _ in range(2))
+    found[:, switches] = local[:, columns].T * scale
+    effective[:, switches] = (kappa[:, None] * m[columns] * inside[:, columns]).T * den
+    bad = _superset_sums(found, range(n)) != _superset_sums(effective, range(n))
+    if max_order < n:
+        bad &= popcount[columns[:, None] | outcomes] <= max_order
+    c, s = np.nonzero(bad)
+    hits = zip(columns[c].tolist(), s.tolist(), effective[c, s].tolist(), found[c, s].tolist())
+    mismatches = sorted(
+        (VerificationMismatch(_members(o), _members(i2), Fraction(e, den * scale), Fraction(f, den * scale))
+         for o, i2, e, f in hits),
+        key=lambda v: (len(v.outcomes), v.outcomes, len(v.switches), v.switches))
+    return VerificationReport(checked, max_order, tuple(mismatches))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ class SchemeMismatch(KolmorepError):
 
 
 class TooLarge(KolmorepError):
-    """An input exceeds a size guard: event count, verified order, sampling denominator."""
+    """An input exceeds a size guard: event count, integers compared per pass, sampling denominator."""
 
 
 class InvalidDistribution(KolmorepError):

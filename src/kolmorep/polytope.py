@@ -244,7 +244,11 @@ class KolmogorovSpace:
 
 
 def evaluate(space: KolmogorovSpace, event_names: Iterable[str]) -> Fraction:
-    """Exact measure of the intersection of the named events (empty set: 1)."""
+    """Exact measure of the intersection of the named events (empty set: 1).
+
+    Verification no longer calls it; it stays public as the per-pair check
+    that ``tests/reference_censorship.py`` and the benchmark tracer read.
+    """
     selected = set(space.points)
     for name in event_names:
         if name not in space.events:

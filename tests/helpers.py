@@ -118,6 +118,18 @@ def random_suite(rng: random.Random, dim: int, n: int):
     return suite, dens, projs
 
 
+def random_diagonal_suite(n: int, dim: int = 16, seed: int = 16) -> MeasurementSuite:
+    """n random diagonal 0/1 projectors, all commuting, under the density diag(1, 2, ..., dim) / total.
+
+    Basis state 0 lies in every projector, so the all-hit atom of every context has positive mass.
+    """
+    rng = random.Random(seed)
+    density = Operator(np.diag(np.arange(1, dim + 1) / (dim * (dim + 1) // 2)), tags=("density",))
+    diagonals = [[1] + [rng.randint(0, 1) for _ in range(dim - 1)] for _ in range(n)]
+    projectors = [Operator(np.diag(d).astype(float), tags=("projector",)) for d in diagonals]
+    return MeasurementSuite.make(density, [(f"M{i}", p) for i, p in enumerate(projectors, start=1)])
+
+
 def exact_context_mass(dens, projs, comps, members, bits):
     """Oracle mass of one joint outcome: exact tr(W prod), where the product
     takes P_i for a 1 bit and its complement ``comps[i - 1]`` = I - P_i for a 0 bit."""

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmorep import (
     IncompatibleContext,
@@ -35,7 +37,7 @@ from kolmorep.censorship import CensoredSpace, SetupDistribution
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
 
-from helpers import random_censorship_case, random_setup, random_suite
+from helpers import random_censorship_case, random_diagonal_suite, random_setup, random_suite
 from reference_censorship import verify_censorship as reference_verify
 
 F = Fraction
@@ -656,39 +658,120 @@ def test_verify_equals_reference_at_every_order_on_both_dtypes(monkeypatch, int6
     assert set(dtypes) - {bool} == {dtype}
 
 
-def count_tables(monkeypatch):
-    """Spy on the builder of the 4^n table: one entry per table built."""
-    built = []
-    real_found_table = censorship._found_table
-
-    def spy(*args):
-        built.append(1)
-        return real_found_table(*args)
-
-    monkeypatch.setattr(censorship, "_found_table", spy)
-    return built
-
-
-def test_a_space_that_verifies_never_builds_the_table(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the 4^n table was built")
-
-    monkeypatch.setattr(censorship, "_found_table", refuse)
-    for suite, dist, _oracle in random_cases():
-        censored = build_censored_space(suite, dist)
-        for order in orders(suite.n):
-            assert verify_censorship(censored, suite, dist, max_order=order).ok
-    suite, dist = orsay_case((37, 0, 0, 200))
-    assert verify_censorship(build_censored_space(suite, dist), suite, dist).ok
-
-
-def test_a_broken_space_lists_the_reference_mismatches_from_the_table(monkeypatch):
-    built = count_tables(monkeypatch)
+def test_a_broken_space_lists_the_reference_mismatches_from_the_rows():
     suite, dist = orsay_case(orsay.DEFAULT_ANGLES_DEG)
     broken = corrupted(build_censored_space(suite, dist), "moved mass")
     report = verify_censorship(broken, suite, dist)
-    assert built == [1] and not report.ok
+    assert not report.ok
     assert report == reference_verify(broken, suite, dist, max_order=2 * suite.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_equals_reference_on_random_corruptions(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    suite, dist, _oracle = random_censorship_case(rng, dim_choices=(2, 4), n_range=(1, 4))
+    censored = build_censored_space(suite, dist)
+    space = censored.space
+    mass, events = dict(space.mass), dict(space.events)
+    points = st.sampled_from(space.points)
+    for _ in range(data.draw(st.integers(1, 3))):
+        how = data.draw(st.sampled_from(["moved mass", "outcome flip", "switch flip"]))
+        if how == "moved mass":
+            source, target = data.draw(points), data.draw(points)
+            moved = mass[source] * F(data.draw(st.integers(1, 4)), 4)
+            mass[source] -= moved
+            mass[target] += moved
+        else:
+            keys = censored.outcome_events if how == "outcome flip" else censored.switch_events
+            key = keys[data.draw(st.sampled_from(suite.names))]
+            events[key] = events[key] ^ {data.draw(points)}
+    broken = CensoredSpace(KolmogorovSpace(space.points, mass, events), censored.outcome_events,
+                           censored.switch_events)
+    order = data.draw(st.integers(1, 2 * suite.n))
+    assert verify_censorship(broken, suite, dist, max_order=order) == reference_verify(
+        broken, suite, dist, max_order=order)
+
+
+def wide_case(*contexts):
+    """The 16-measurement diagonal suite with equal weights on the given contexts."""
+    suite = random_diagonal_suite(16)
+    weights = {frozenset(j): F(1, len(contexts)) for j in contexts}
+    return suite, validate_distribution(weights, compute_compatibility(suite))
+
+
+def test_sixteen_measurements_verify_at_full_order():
+    suite, dist = wide_case({1, 2, 3}, {3, 9, 16})
+    report = verify_censorship(build_censored_space(suite, dist), suite, dist)
+    assert report.ok and report.max_order == 32 and report.checked == 4**16
+
+
+def test_sixteen_measurements_list_each_mismatch_as_the_pairwise_check_does():
+    suite, dist = wide_case({1, 2, 3}, {3, 9, 16})
+    broken = corrupted(build_censored_space(suite, dist), "dropped outcome point")
+    report = verify_censorship(broken, suite, dist)
+    assert not report.ok and report.checked == 4**16
+    for hit in report.mismatches:
+        names = [broken.outcome_events[suite.name_of(i)] for i in hit.outcomes]
+        names += [broken.switch_events[suite.name_of(j)] for j in hit.switches]
+        assert hit.found == evaluate(broken.space, names) != hit.expected
+        assert hit.expected == effective_probability(suite, dist, hit.outcomes, hit.switches)
+
+
+def test_more_switch_rows_than_the_guard_are_too_large_before_any_array(monkeypatch):
+    w = Operator(np.diag([0.5, 0.5]), tags=("density",))
+    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [(f"M{i}", p) for i in range(1, 24)])
+    dist = validate_distribution({frozenset({1}): F(1)}, compute_compatibility(suite))
+    censored = build_censored_space(suite, dist)
+    assert 1 << suite.n > censorship.MAX_COMPARED
+    calls = count_born_calls(monkeypatch)
+    monkeypatch.setattr(censorship, "np", None)  # any array construction would raise AttributeError
+    with pytest.raises(TooLarge, match="1 switch rows of 2\\^23 entries"):
+        verify_censorship(censored, suite, dist)
+    assert calls == []
+
+
+def all_hits_halved(censored, suite, k):
+    """Half the mass of the all-hit point of context {1..k} moved to its all-miss point.
+
+    Every non-empty outcome column of the context then disagrees: 2^k - 1 of them.
+    """
+    mass = dict(censored.space.mass)
+    label = ",".join(suite.names[:k])
+    moved = mass[f"{label}|{'1' * k}"] / 2
+    mass[f"{label}|{'1' * k}"] -= moved
+    mass[f"{label}|{'0' * k}"] += moved
+    return CensoredSpace(KolmogorovSpace(censored.space.points, mass, censored.space.events),
+                         censored.outcome_events, censored.switch_events)
+
+
+def test_more_disagreeing_columns_than_the_guard_are_too_large_before_the_listing(monkeypatch):
+    suite, dist = wide_case(range(1, 8))
+    broken = all_hits_halved(build_censored_space(suite, dist), suite, 7)
+    assert 127 << suite.n > censorship.MAX_COMPARED
+    dtypes = record_dtypes(monkeypatch)
+    with pytest.raises(TooLarge, match="127 disagreeing columns"):
+        verify_censorship(broken, suite, dist)
+    assert len(dtypes) == 3  # the decision's rows, weights and moments; no listing array
+
+
+def test_each_guard_admits_exactly_its_bound(monkeypatch):
+    suite = diagonal_suite()
+    dist = validate_distribution({frozenset({1, 2, 3}): F(1)}, compute_compatibility(suite))
+    censored = build_censored_space(suite, dist)
+    broken = all_hits_halved(censored, suite, 3)
+    # One switch row of 8 entries; 7 disagreeing columns of 8 entries when broken.
+    monkeypatch.setattr(censorship, "MAX_COMPARED", 8)
+    assert verify_censorship(censored, suite, dist).ok
+    monkeypatch.setattr(censorship, "MAX_COMPARED", 7)
+    with pytest.raises(TooLarge, match="1 switch rows"):
+        verify_censorship(censored, suite, dist)
+    monkeypatch.setattr(censorship, "MAX_COMPARED", 56)
+    assert verify_censorship(broken, suite, dist) == reference_verify(broken, suite, dist, max_order=6)
+    monkeypatch.setattr(censorship, "MAX_COMPARED", 55)
+    with pytest.raises(TooLarge, match="7 disagreeing columns"):
+        verify_censorship(broken, suite, dist)
 
 
 @pytest.mark.parametrize("order", [0, -1])
@@ -702,19 +785,6 @@ def test_verify_defaults_to_full_order(orsay_setup):
     suite, dist = orsay_setup
     report = verify_censorship(build_censored_space(suite, dist), suite, dist)
     assert report.ok and report.max_order == 8 and report.checked == 256
-
-
-def test_twelve_measurements_are_too_large_before_any_array(monkeypatch):
-    w = Operator(np.diag([0.5, 0.5]), tags=("density",))
-    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
-    suite = MeasurementSuite.make(w, [(f"M{i}", p) for i in range(1, 13)])
-    dist = validate_distribution({frozenset({1}): F(1)}, compute_compatibility(suite))
-    censored = build_censored_space(suite, dist)
-    calls = count_born_calls(monkeypatch)
-    monkeypatch.setattr(censorship, "np", None)  # any array construction would raise AttributeError
-    with pytest.raises(TooLarge):
-        verify_censorship(censored, suite, dist)
-    assert calls == []
 
 
 def decomposition_reproduces(decomposition, vector):

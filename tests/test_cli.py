@@ -23,6 +23,8 @@ from kolmorep.serialize import (
     vector_to_json,
 )
 
+from helpers import random_diagonal_suite
+
 F = Fraction
 
 
@@ -198,6 +200,18 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
     ]) == 0
     verification = json.loads(capsys.readouterr().out)["verification"]
     assert verification["checked"] == 256 and verification["mismatches"] == []
+
+
+def test_censor_verifies_sixteen_measurements(capsys, tmp_path):
+    suite = random_diagonal_suite(16)
+    (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
+    weights = {frozenset({1, 2, 3}): F(1, 2), frozenset({3, 9, 16}): F(1, 2)}
+    (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, weights)))
+    assert main([
+        "--format", "json", "censor", "--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json"),
+    ]) == 0
+    verification = json.loads(capsys.readouterr().out)["verification"]
+    assert verification["checked"] == 4**16 and verification["mismatches"] == []
 
 
 def test_orsay_tables_with_a_zero_weight_context(capsys):
