@@ -14,9 +14,10 @@ the per-context outcome spaces, glues them into one finite probability space
 on the disjoint union of their sample sets, and verifies that this single
 space reproduces every effective probability. The only floats are the
 moments tr(W prod_{i in I} A_i); each is identified with an exact fraction
-once per suite and policy (``MeasurementSuite.moment``), and every mass and
-probability is derived from those fractions exactly, so the verification is
-exact and the context marginals agree by construction.
+once per suite (``MeasurementSuite.moment``), under the policy fixed when the
+suite is built, and every mass and probability is derived from those
+fractions exactly. So a space is built and verified from the same moments,
+the verification is exact and the context marginals agree by construction.
 
 Verification decides on rows, not on the 4^n table of joint measures. Each
 switch mask sigma (of a point or of a support context) gets one row over the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, _bits, _mask
 from .quantum import Operator, born, commutes
-from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize
+from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize, scaled
 from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
@@ -73,10 +74,14 @@ class Measurement:
 
 @dataclass(frozen=True)
 class MeasurementSuite:
-    """A shared density operator and an ordered list of named projectors."""
+    """A shared density operator and an ordered list of named projectors.
+
+    ``policy`` turns every moment into a fraction; it is fixed with the suite.
+    """
 
     density: Operator
     measurements: tuple
+    policy: RationalizationPolicy = DEFAULT_POLICY
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -92,8 +97,10 @@ class MeasurementSuite:
                 )
 
     @staticmethod
-    def make(density: Operator, measurements: Iterable) -> "MeasurementSuite":
-        return MeasurementSuite(density, tuple(Measurement(n, p) for n, p in measurements))
+    def make(
+        density: Operator, measurements: Iterable, policy: RationalizationPolicy = DEFAULT_POLICY
+    ) -> "MeasurementSuite":
+        return MeasurementSuite(density, tuple(Measurement(n, p) for n, p in measurements), policy)
 
     @property
     def dim(self) -> int:
@@ -134,21 +141,18 @@ class MeasurementSuite:
             mask |= 1 << (i - 1)
         return mask
 
-    def moment(
-        self, index_set: Iterable[int], policy: RationalizationPolicy = DEFAULT_POLICY
-    ) -> Fraction:
-        """tr(W prod_{i in I} A_i) as an exact fraction, computed once per set and policy.
+    def moment(self, index_set: Iterable[int]) -> Fraction:
+        """tr(W prod_{i in I} A_i) as an exact fraction under ``policy``, computed once per set.
 
         The empty product gives exactly 1. A trace below -TAU_PROB is a
         numerical failure; smaller negative noise is clamped to 0 before
         rationalization.
         """
-        return self._mask_moment(self._mask_of(index_set), policy)
+        return self._mask_moment(self._mask_of(index_set))
 
-    def _mask_moment(self, mask: int, policy: RationalizationPolicy) -> Fraction:
+    def _mask_moment(self, mask: int) -> Fraction:
         """``moment`` of the members of a mask whose indices are already checked."""
-        key = (mask, policy)
-        value = self._moments.get(key)
+        value = self._moments.get(mask)
         if value is None:
             if not mask:
                 value = Fraction(1)
@@ -156,8 +160,8 @@ class MeasurementSuite:
                 t = born(self.density, [self.proj(i) for i in _members(mask)])
                 if t < -quantum.TAU_PROB:
                     raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
-                value = rationalize(max(t, 0.0), policy)
-            self._moments[key] = value
+                value = rationalize(max(t, 0.0), self.policy)
+            self._moments[mask] = value
         return value
 
     @cached_property
@@ -242,11 +246,7 @@ def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fra
     return sum((w for j, w in dist.weights.items() if wanted <= j and w > 0), Fraction(0))
 
 
-def context_space(
-    context: Iterable[int],
-    suite: MeasurementSuite,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
-) -> KolmogorovSpace:
+def context_space(context: Iterable[int], suite: MeasurementSuite) -> KolmogorovSpace:
     """Outcome space of one context: atoms are the 2^|J| joint outcomes.
 
     Atom masses come from the suite's exact moments by inclusion-exclusion:
@@ -255,7 +255,7 @@ def context_space(
     and every marginal is exactly the moment of its hits, so contexts agree
     wherever they overlap. A negative atom means the rationalized moments
     admit no distribution; it is reported as a numerical failure, never
-    clamped. Atom masses may have denominators above the policy's bound.
+    clamped. Atom masses may have denominators above the suite policy's bound.
     The inversion runs on the moments' integer numerators over their common
     denominator, and each atom becomes one fraction at the end.
     """
@@ -272,7 +272,7 @@ def context_space(
     masks = [0]
     for i in members:
         masks += [mask | 1 << (i - 1) for mask in masks]
-    den, atoms = _scaled([suite._mask_moment(mask, policy) for mask in masks])
+    den, atoms = scaled([suite._mask_moment(mask) for mask in masks])
     # ... and Moebius inversion over supersets turns it into the atom with exactly those hits.
     for pos in range(k):
         bit = 1 << pos
@@ -305,11 +305,7 @@ def _outcome_points(k: int) -> tuple:
 
 
 def effective_probability(
-    suite: MeasurementSuite,
-    dist: SetupDistribution,
-    outcomes: Iterable[int],
-    switches: Iterable[int],
-    policy: RationalizationPolicy = DEFAULT_POLICY,
+    suite: MeasurementSuite, dist: SetupDistribution, outcomes: Iterable[int], switches: Iterable[int]
 ) -> Fraction:
     """Observed probability of outcomes I1 together with switch events I2.
 
@@ -323,7 +319,7 @@ def effective_probability(
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior
-    return prior * suite.moment(i1, policy)
+    return prior * suite.moment(i1)
 
 
 @dataclass(frozen=True)
@@ -341,11 +337,7 @@ class CensoredSpace:
     switch_events: Mapping  # measurement name -> event key
 
 
-def build_censored_space(
-    suite: MeasurementSuite,
-    dist: SetupDistribution,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
-) -> CensoredSpace:
+def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> CensoredSpace:
     """Glue the supported contexts into one finite probability space.
 
     Only contexts with positive weight contribute points; zero-weight
@@ -359,7 +351,7 @@ def build_censored_space(
     for context in dist.support:
         names = [suite.name_of(i) for i in sorted(context)]
         label = ",".join(names)
-        local = context_space(context, suite, policy)
+        local = context_space(context, suite)
         kappa = dist.weights[context]
         full_ids = {pid: f"{label}|{pid}" for pid in local.points}
         points += full_ids.values()
@@ -411,12 +403,6 @@ def _superset_sums(a: np.ndarray, bits: Iterable[int]) -> np.ndarray:
     return a
 
 
-def _scaled(values: list) -> tuple:
-    """Common denominator of some fractions and their numerators over it."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def _point_weights(censored: CensoredSpace, suite: MeasurementSuite) -> tuple:
     """Common denominator and the scaled masses per 2n-bit event mask, read off the events only."""
     space = censored.space
@@ -427,7 +413,7 @@ def _point_weights(censored: CensoredSpace, suite: MeasurementSuite) -> tuple:
             raise UnknownEvent(f"no event named {key!r}")
         for pid in space.events[key]:
             masks[pid] |= 1 << bit
-    den, masses = _scaled([space.mass[pid] for pid in space.points])
+    den, masses = scaled([space.mass[pid] for pid in space.points])
     weights = dict.fromkeys(masks.values(), 0)
     for mask, w in zip(masks.values(), masses):
         weights[mask] += w
@@ -446,11 +432,7 @@ def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) ->
 
 
 def verify_censorship(
-    censored: CensoredSpace,
-    suite: MeasurementSuite,
-    dist: SetupDistribution,
-    max_order: Optional[int] = None,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
+    censored: CensoredSpace, suite: MeasurementSuite, dist: SetupDistribution, max_order: Optional[int] = None
 ) -> VerificationReport:
     """Compare every joint event measure against its effective probability.
 
@@ -484,7 +466,7 @@ def verify_censorship(
     size = 1 << n
 
     den, point_weights = _point_weights(censored, suite)
-    kden, kappas = _scaled([dist.weights[j] for j in dist.support])
+    kden, kappas = scaled([dist.weights[j] for j in dist.support])
     contexts = [_mask(j) for j in dist.support]
     # One row per switch mask: the support contexts first, then the points' other masks.
     switches = list(dict.fromkeys(contexts + [mask >> n for mask in point_weights]))
@@ -501,7 +483,7 @@ def verify_censorship(
             popcount[1 << b:2 << b] = popcount[:1 << b] + 1
         needed &= popcount <= max_order
     needed = np.flatnonzero(needed).tolist()
-    mden, moments = _scaled([suite._mask_moment(u, policy) for u in needed])
+    mden, moments = scaled([suite._mask_moment(u) for u in needed])
 
     # Found entries are at most den, sw entries at most the weight total, and
     # the empty moment is needed, so max(moments) >= mden bounds both sides.
@@ -558,10 +540,7 @@ class EffectiveVector:
 
 
 def assemble_effective_vector(
-    suite: MeasurementSuite,
-    dist: SetupDistribution,
-    scheme: ConjunctionScheme,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
+    suite: MeasurementSuite, dist: SetupDistribution, scheme: ConjunctionScheme
 ) -> EffectiveVector:
     """Fill a scheme over the 2n outcome/switch events with effective probabilities.
 
@@ -571,9 +550,7 @@ def assemble_effective_vector(
     if scheme.n != 2 * n:
         raise SchemeMismatch(f"scheme must range over {2 * n} events (outcomes then switches)")
     values = {
-        s: effective_probability(
-            suite, dist, (i for i in s if i <= n), (i - n for i in s if i > n), policy
-        )
+        s: effective_probability(suite, dist, (i for i in s if i <= n), (i - n for i in s if i > n))
         for s in scheme.sets
     }
     return EffectiveVector(CorrelationVector(scheme, values), suite.names)

@@ -64,16 +64,15 @@ def _policy(args) -> RationalizationPolicy:
 
 
 def _load_setup(args):
-    """Policy, suite and validated setup distribution from `--suite` and `--dist`."""
-    policy = _policy(args)
-    suite = suite_from_json(_load_json(args.suite))
+    """Suite, built under the run's policy, and validated setup distribution from `--suite` and `--dist`."""
+    suite = suite_from_json(_load_json(args.suite), _policy(args))
     if suite.dim > 64:
         sys.stderr.write(
             f"warning: dim {suite.dim} is beyond the desk scale this tool targets; "
             "expect long runs\n"
         )
-    raw = distribution_from_json(_load_json(args.dist), suite, policy)
-    return policy, suite, validate_distribution(raw, compute_compatibility(suite))
+    raw = distribution_from_json(_load_json(args.dist), suite, suite.policy)
+    return suite, validate_distribution(raw, compute_compatibility(suite))
 
 
 def _fmt_table(rows: list) -> str:
@@ -161,10 +160,10 @@ def text_represent(payload, args) -> str:
 
 
 def cmd_censor(args):
-    policy, suite, dist = _load_setup(args)
-    censored = build_censored_space(suite, dist, policy)
+    suite, dist = _load_setup(args)
+    censored = build_censored_space(suite, dist)
     max_order = 2 * suite.n if args.full_order else args.max_order
-    report = verify_censorship(censored, suite, dist, max_order, policy)
+    report = verify_censorship(censored, suite, dist, max_order)
 
     space = censored_space_to_json(censored)
     if args.output:
@@ -253,7 +252,7 @@ def text_orsay(payload, args) -> str:
 
 
 def cmd_simulate(args):
-    policy, suite, dist = _load_setup(args)
+    suite, dist = _load_setup(args)
     if args.queries:
         queries = queries_from_json(_load_json(args.queries))
         for outcomes, performed in queries:
@@ -262,7 +261,7 @@ def cmd_simulate(args):
     else:
         queries = [((name,), ()) for name in suite.names]
         queries += [((), (name,)) for name in suite.names]
-    trials = run(suite, dist, args.trials, args.seed, policy)
+    trials = run(suite, dist, args.trials, args.seed)
     estimates = estimate(trials, queries)
 
     if args.format == "json":

@@ -75,8 +75,8 @@ class OrsayConfig:
         return OrsayConfig(angles, tuple(Fraction(w) for w in weights))
 
 
-def build_suite(cfg: OrsayConfig) -> MeasurementSuite:
-    """Four projectors on the two-spin space, singlet state shared."""
+def build_suite(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> MeasurementSuite:
+    """Four projectors on the two-spin space, singlet state shared; moments rationalized under `policy`."""
     eye = identity(2)
     a, a2, b, b2 = (spin_projector_up(direction(t)) for t in cfg.angles)
     measurements = [
@@ -85,7 +85,7 @@ def build_suite(cfg: OrsayConfig) -> MeasurementSuite:
         ("B", tensor(eye, b)),
         ("B'", tensor(eye, b2)),
     ]
-    return MeasurementSuite.make(singlet_density(), measurements)
+    return MeasurementSuite.make(singlet_density(), measurements, policy)
 
 
 def switch_distribution(cfg: OrsayConfig, suite: MeasurementSuite) -> SetupDistribution:
@@ -102,21 +102,19 @@ def naked_vector(
     by the singlet algebra each pair value equals sin^2(theta/2)/2 for the
     angle between its two directions.
     """
-    suite = build_suite(cfg)
+    suite = build_suite(cfg, policy)
     scheme = ch_scheme()
-    return CorrelationVector(scheme, {s: suite.moment(s, policy) for s in scheme.sets})
+    return CorrelationVector(scheme, {s: suite.moment(s) for s in scheme.sets})
 
 
 def effective_pair_vector(
     cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY
 ) -> CorrelationVector:
     """Observed counterpart of the naked vector on the same cross-pair scheme."""
-    suite = build_suite(cfg)
+    suite = build_suite(cfg, policy)
     dist = switch_distribution(cfg, suite)
     scheme = ch_scheme()
-    return CorrelationVector(
-        scheme, {s: effective_probability(suite, dist, s, (), policy) for s in scheme.sets}
-    )
+    return CorrelationVector(scheme, {s: effective_probability(suite, dist, s, ()) for s in scheme.sets})
 
 
 def _pair_scheme() -> ConjunctionScheme:
@@ -136,9 +134,9 @@ def effective_vector(
     Indices 1..4 are the detector outcomes in that order, 5..8 the matching
     switch selections. The default scheme holds all singletons and pairs.
     """
-    suite = build_suite(cfg)
+    suite = build_suite(cfg, policy)
     dist = switch_distribution(cfg, suite)
-    return assemble_effective_vector(suite, dist, scheme or _pair_scheme(), policy)
+    return assemble_effective_vector(suite, dist, scheme or _pair_scheme())
 
 
 @dataclass(frozen=True)
@@ -164,12 +162,12 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
     (B, !B, B', !B'); each cell is the mass of the atom of the matching
     context with the matching outcome bits, or 0 if that context has no weight.
     """
-    suite = build_suite(cfg)
+    suite = build_suite(cfg, policy)
     dist = switch_distribution(cfg, suite)
 
     context_tables = []
     for context, (ln, rn) in zip(CONTEXTS, (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))):
-        local = context_space(context, suite, policy)
+        local = context_space(context, suite)
         cells = {
             (ln if pid[0] == "1" else f"!{ln}", rn if pid[1] == "1" else f"!{rn}"): local.mass[pid]
             for pid in ("11", "10", "01", "00")
@@ -177,7 +175,7 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
         label = f"{SWITCH_NAMES[suite.index(ln) - 1]} & {SWITCH_NAMES[suite.index(rn) - 1]}"
         context_tables.append(ContextTable(label, cells))
 
-    censored = build_censored_space(suite, dist, policy)
+    censored = build_censored_space(suite, dist)
     cells = {}
     for row in ("A", "!A", "A'", "!A'"):
         left = row.lstrip("!")

@@ -33,6 +33,7 @@ from .errors import (
     TooLarge,
     UnknownEvent,
 )
+from .rational import scaled
 from .simplex import solve_zero_one_feasibility
 
 
@@ -141,9 +142,8 @@ def _bits(mask: int, n: int) -> tuple:
 
 
 def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
-    values = list(cert.values()) + [offset]
-    denom_lcm = math.lcm(*(v.denominator for v in values))
-    scale = Fraction(denom_lcm, math.gcd(*(int(v * denom_lcm) for v in values)) or 1)
+    den, numerators = scaled([*cert.values(), offset])
+    scale = Fraction(den, math.gcd(*numerators) or 1)
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
@@ -156,9 +156,8 @@ def _quick_separation(p: CorrelationVector, order: list, masks: list) -> Outside
     so these shortcuts can never disagree with the LP verdict. ``order`` is
     ``p.scheme.sorted_sets()`` and ``masks`` their bitmasks.
     """
-    values = [p.values[s] for s in order]
-    scale = math.lcm(*(v.denominator for v in values))
-    nums = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+    scale, nums = scaled([p.values[s] for s in order])
+    nums = np.array(nums, dtype=object)
     outside = (nums < 0) | (nums > scale)
     if outside.any():
         i = int(np.argmax(outside))
@@ -231,9 +230,7 @@ class KolmogorovSpace:
         if frozenset(self.mass.keys()) != pts:
             raise InvalidDistribution("masses must cover the points exactly")
         # Exact checks on integer numerators over the common denominator; a float counts at its exact value.
-        masses = [Fraction(m) if isinstance(m, float) else m for m in self.mass.values()]
-        den = math.lcm(*(m.denominator for m in masses))
-        numerators = [m.numerator * (den // m.denominator) for m in masses]
+        den, numerators = scaled([Fraction(m) if isinstance(m, float) else m for m in self.mass.values()])
         if min(numerators, default=0) < 0:
             raise InvalidDistribution("point masses must be non-negative")
         if sum(numerators) != den:

@@ -84,6 +84,12 @@ def parse_rational(value, policy: RationalizationPolicy = DEFAULT_POLICY) -> Fra
     raise NumericalFailure(f"cannot interpret {value!r} as a rational number")
 
 
+def scaled(values: list) -> tuple:
+    """Common denominator of some fractions (or ints) and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def format_rational(value: Fraction) -> str:
     """Lowest-terms string form, e.g. "3/8", "0", "1"."""
     return str(value)

@@ -156,7 +156,8 @@ def suite_to_json(suite: MeasurementSuite) -> dict:
     }
 
 
-def suite_from_json(obj) -> MeasurementSuite:
+def suite_from_json(obj, policy: RationalizationPolicy = DEFAULT_POLICY) -> MeasurementSuite:
+    """The suite in `obj`, its moments to be rationalized under `policy`."""
     dim = _expect(obj, "dim", int, "suite")
     density = Operator(matrix_from_json(_expect(obj, "density", dict, "suite"), "density"), tags=("density",))
     if density.dim != dim:
@@ -170,7 +171,7 @@ def suite_from_json(obj) -> MeasurementSuite:
             tags=("projector",),
         )
         measurements.append((name, proj))
-    return MeasurementSuite.make(density, measurements)
+    return MeasurementSuite.make(density, measurements, policy)
 
 
 def distribution_to_json(suite: MeasurementSuite, weights: Mapping) -> dict:
@@ -316,5 +317,7 @@ def queries_from_json(obj) -> list:
             raise SchemaError(f"{where}: expected an object with 'outcomes'/'performed'")
         if not isinstance(outcomes, list) or not isinstance(performed, list):
             raise SchemaError(f"{where}: 'outcomes' and 'performed' must be name lists")
-        out.append((tuple(map(str, outcomes)), tuple(map(str, performed))))
+        if not all(isinstance(name, str) for name in outcomes + performed):
+            raise SchemaError(f"{where}: 'outcomes' and 'performed' entries must be strings")
+        out.append((tuple(outcomes), tuple(performed)))
     return out

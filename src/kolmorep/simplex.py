@@ -38,10 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .rational import scaled
 
 _INT64_MAX = 2**63 - 1
 
@@ -86,9 +87,9 @@ def solve_zero_one_feasibility(
 
     # Flip row signs so the artificial start point b >= 0 is feasible; the
     # signs then sit in the tableau's columns, as adj S and y S.
-    scale = lcm(*(r.denominator for r in rhs))
-    start = [abs(r.numerator) * (scale // r.denominator) for r in rhs]
-    signs = [1 if r >= 0 else -1 for r in rhs]
+    scale, numerators = scaled(rhs)
+    signs = [1 if v >= 0 else -1 for v in numerators]
+    start = [abs(v) for v in numerators]
     dtype = object if _needs_object(m, max(sum(start), 1)) else np.int64
     tab = np.zeros((m + 1, m + 1), dtype=dtype)
     tab[range(m), range(m)] = signs  # adj = identity, so adj S = S

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .censorship import MeasurementSuite, SetupDistribution, context_space
 from .errors import TooLarge
-from .rational import DEFAULT_POLICY, RationalizationPolicy
+from .rational import scaled
 
 PRNG_ALGORITHM = "PCG64"
 
@@ -75,21 +75,15 @@ class FrequencyEstimate:
 
 def _integer_sampler(rng: np.random.Generator, weights: Sequence[Fraction], size: int) -> np.ndarray:
     """Indices drawn exactly according to rational weights via integer inversion."""
-    denom = lcm(*(w.denominator for w in weights))
+    denom, numerators = scaled(weights)
     if denom >= 2**63:  # the cuts and the draws are int64; the last cut is denom
         raise TooLarge(f"common denominator {denom} of the sampling weights does not fit in int64")
-    cuts = np.cumsum([int(w * denom) for w in weights])
+    cuts = np.cumsum(numerators)
     draws = rng.integers(0, denom, size=size)
     return np.searchsorted(cuts, draws, side="right")
 
 
-def run(
-    suite: MeasurementSuite,
-    dist: SetupDistribution,
-    trials: int,
-    seed: int,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
-) -> Trials:
+def run(suite: MeasurementSuite, dist: SetupDistribution, trials: int, seed: int) -> Trials:
     """Simulate `trials` switch-and-detect rounds; same seed, same stream."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -104,7 +98,7 @@ def run(
     outcome = np.zeros(trials, dtype=np.int64)
     for k, context in enumerate(contexts):
         names.append(tuple(suite.name_of(i) for i in sorted(context)))
-        local = context_space(context, suite, policy)
+        local = context_space(context, suite)
         points.append(tuple(tuple(int(ch) for ch in p) for p in local.points))
         hits = np.flatnonzero(chosen == k)
         if hits.size:

@@ -4,7 +4,8 @@ Tests compare ``kolmorep.censorship.verify_censorship`` against it and require
 the whole report to be equal: the same ``checked`` count and ``max_order``,
 and the same mismatches with the same values in the same order. It evaluates
 each (I1, I2) pair separately through ``polytope.evaluate`` and
-``effective_probability``, so it is slow (4^n pairs); test use only.
+``effective_probability``, so it is slow (4^n pairs); test use only. The one
+edit since: it takes no policy, because the suite carries it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from kolmorep.censorship import (
     effective_probability,
 )
 from kolmorep.polytope import evaluate
-from kolmorep.rational import DEFAULT_POLICY, RationalizationPolicy
 
 
 def verify_censorship(
@@ -29,7 +29,6 @@ def verify_censorship(
     suite: MeasurementSuite,
     dist: SetupDistribution,
     max_order: Optional[int] = None,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Compare every joint event measure against its effective probability.
 
@@ -52,7 +51,7 @@ def verify_censorship(
             names = [censored.outcome_events[suite.name_of(i)] for i in sorted(i1)]
             names += [censored.switch_events[suite.name_of(j)] for j in sorted(i2)]
             found = evaluate(censored.space, names)
-            expected = effective_probability(suite, dist, i1, i2, policy)
+            expected = effective_probability(suite, dist, i1, i2)
             if found != expected:
                 mismatches.append(
                     VerificationMismatch(tuple(sorted(i1)), tuple(sorted(i2)), expected, found)

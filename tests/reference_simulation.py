@@ -5,7 +5,8 @@
 ``csv.writer`` row per record, and `records_to_json` builds one dict per
 record and dumps the whole payload with ``json.dumps(indent=2)``. Tests
 require the columnar code to give the same records, the same estimates and
-the same CSV and JSON bytes. Test use only.
+the same CSV and JSON bytes. The one edit since: `run` takes no policy,
+because the suite carries it. Test use only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from kolmorep.censorship import MeasurementSuite, SetupDistribution, context_space
-from kolmorep.rational import DEFAULT_POLICY, RationalizationPolicy
 from kolmorep.simulation import PRNG_ALGORITHM, FrequencyEstimate, TrialRecord, _integer_sampler
 
 
@@ -28,7 +28,6 @@ def run(
     dist: SetupDistribution,
     trials: int,
     seed: int,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
 ) -> list:
     """Simulate `trials` switch-and-detect rounds; same seed, same stream."""
     if trials < 1:
@@ -45,7 +44,7 @@ def run(
     for k, context in enumerate(contexts):
         members = sorted(context)
         names.append(tuple(suite.name_of(i) for i in members))
-        local = context_space(context, suite, policy)
+        local = context_space(context, suite)
         masses = [local.mass[p] for p in local.points]
         point_bits.append([tuple(int(ch) for ch in p) for p in local.points])
         hits = np.flatnonzero(chosen == k)

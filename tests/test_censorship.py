@@ -1,6 +1,8 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import cos, radians
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmorep import (
+    DEFAULT_POLICY,
     IncompatibleContext,
     IncompatibleSupport,
     Inside,
@@ -20,6 +23,7 @@ from kolmorep import (
     SchemeMismatch,
     TooLarge,
     assemble_effective_vector,
+    born,
     build_censored_space,
     commutes,
     compute_compatibility,
@@ -28,14 +32,16 @@ from kolmorep import (
     effective_probability,
     evaluate,
     membership,
+    rationalize,
     switch_probability,
     validate_distribution,
     verify_censorship,
 )
-from kolmorep import censorship
+from kolmorep import censorship, simulation
 from kolmorep.censorship import CensoredSpace, SetupDistribution
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
+from kolmorep.serialize import suite_from_json, suite_to_json
 
 from helpers import random_censorship_case, random_diagonal_suite, random_setup, random_suite
 from reference_censorship import verify_censorship as reference_verify
@@ -185,15 +191,14 @@ def count_born_calls(monkeypatch):
     return calls
 
 
-def test_moment_is_computed_once_per_set_and_policy(monkeypatch):
+def test_moment_is_computed_once_per_set(monkeypatch):
     calls = count_born_calls(monkeypatch)
     suite = diagonal_suite()
     assert suite.moment(()) == 1
     assert suite.moment({1, 2}) == F(1, 4)
     assert suite.moment([2, 1]) == F(1, 4)
-    assert suite.moment({1, 2}, RationalizationPolicy(max_denominator=10)) == F(1, 4)
-    assert calls == [2, 2]  # none for the empty set
-    assert {mask for mask, _policy in suite._moments} == {0, 0b011}  # keyed by bitmask
+    assert calls == [2]  # none for the empty set
+    assert set(suite._moments) == {0, 0b011}  # keyed by bitmask
 
 
 def test_censor_pipeline_calls_born_once_per_compatible_set(monkeypatch):
@@ -262,25 +267,84 @@ def test_negative_derived_atom_is_a_numerical_failure():
     w = Operator(np.diag([0.6, 0.2, 0.2, 0.0]), tags=("density",))
     a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))
     b = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
-    suite = MeasurementSuite.make(w, [("A", a), ("B", b)])
     coarse = RationalizationPolicy(tolerance=0.25, max_denominator=2)
-    assert [suite.moment(s, coarse) for s in ({1}, {2}, {1, 2})] == [1, 1, F(1, 2)]
+    suite = MeasurementSuite.make(w, [("A", a), ("B", b)], coarse)
+    assert [suite.moment(s) for s in ({1}, {2}, {1, 2})] == [1, 1, F(1, 2)]
     # atom 00 = 1 - 1 - 1 + 1/2
     with pytest.raises(NumericalFailure, match="negative atom -1/2"):
-        context_space({1, 2}, suite, coarse)
+        context_space({1, 2}, suite)
 
 
 def test_negative_atom_is_named_as_a_fraction_in_lowest_terms():
     w = Operator(np.diag([0.58, 0.21, 0.205, 0.005]), tags=("density",))
     a = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))
     b = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
-    suite = MeasurementSuite.make(w, [("A", a), ("B", b)])
     coarse = RationalizationPolicy(tolerance=0.02, max_denominator=7)
-    assert [suite.moment(s, coarse) for s in ({1}, {2}, {1, 2})] == [F(4, 5), F(4, 5), F(4, 7)]
+    suite = MeasurementSuite.make(w, [("A", a), ("B", b)], coarse)
+    assert [suite.moment(s) for s in ({1}, {2}, {1, 2})] == [F(4, 5), F(4, 5), F(4, 7)]
     # atom 00 = 1 - 4/5 - 4/5 + 4/7, over the moments' common denominator 35
     message = r"^context \['A', 'B'\] has a negative atom -1/35: its rationalized moments admit no distribution$"
     with pytest.raises(NumericalFailure, match=message):
-        context_space({1, 2}, suite, coarse)
+        context_space({1, 2}, suite)
+
+
+COARSE = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
+
+
+def test_a_suite_built_under_a_coarse_policy_is_consistent_end_to_end(monkeypatch):
+    cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200))
+    suite = orsay.build_suite(cfg, COARSE)
+    dist = orsay.switch_distribution(cfg, suite)
+
+    def coarse_moment(index_set):
+        return rationalize(max(born(suite.density, [suite.proj(i) for i in sorted(index_set)]), 0.0), COARSE)
+
+    default = orsay.build_suite(cfg)
+    assert any(coarse_moment(c) != default.moment(c) for c in orsay.CONTEXTS)  # the policy matters here
+
+    report = verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=2 * suite.n)
+    assert report.ok and report.checked == 256
+    subsets = [frozenset(c) for r in range(5) for c in combinations(range(1, 5), r)]
+    for i1 in subsets:
+        for i2 in subsets:
+            weight = switch_probability(dist, i1 | i2)
+            expected = weight * coarse_moment(i1) if weight and i1 else weight
+            assert effective_probability(suite, dist, i1, i2) == expected
+
+    sampled = []
+    real_sampler = simulation._integer_sampler
+
+    def recording_sampler(rng, weights, size):
+        sampled.append(list(weights))
+        return real_sampler(rng, weights, size)
+
+    monkeypatch.setattr(simulation, "_integer_sampler", recording_sampler)
+    trials = simulation.run(suite, dist, 400, seed=3)
+    locals_ = [context_space(c, suite) for c in dist.support]
+    assert trials.points == tuple(tuple(tuple(map(int, p)) for p in local.points) for local in locals_)
+    assert sampled == [[dist.weights[c] for c in dist.support]] + [
+        [local.mass[p] for p in local.points] for local in locals_
+    ]
+
+
+def test_suite_from_json_and_orsay_build_suite_carry_the_policy():
+    cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200))
+    built = orsay.build_suite(cfg, COARSE)
+    read = suite_from_json(suite_to_json(built), COARSE)
+    assert built.policy == read.policy == COARSE
+    assert orsay.build_suite(cfg).policy == suite_from_json(suite_to_json(built)).policy == DEFAULT_POLICY
+    # On the singlet, A and B both fire with probability (1 - cos theta) / 4, theta = 37 degrees here.
+    assert read.moment({1, 3}) == built.moment({1, 3}) == rationalize((1 - cos(radians(37))) / 4, COARSE)
+    assert built.moment({1, 3}).denominator <= 100 < orsay.build_suite(cfg).moment({1, 3}).denominator
+
+
+def test_no_censorship_or_simulation_function_takes_a_policy():
+    for module in (censorship, simulation):
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                assert "policy" not in inspect.signature(obj).parameters, name
+    for method in (MeasurementSuite.moment, MeasurementSuite._mask_moment):
+        assert "policy" not in inspect.signature(method).parameters
 
 
 @pytest.mark.parametrize("angles", GENERIC_ANGLES)

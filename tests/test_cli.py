@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kolmorep import cli
+from kolmorep import RationalizationPolicy, build_censored_space, cli
 from kolmorep.censorship import VerificationMismatch, VerificationReport
 from kolmorep.cli import build_parser, main
 from kolmorep.orsay import (
@@ -17,11 +17,14 @@ from kolmorep.orsay import (
 from kolmorep.polytope import vertex
 from kolmorep.ch import ch_scheme
 from kolmorep.serialize import (
+    censored_space_to_json,
     distribution_to_json,
+    records_to_csv,
     space_from_json,
     suite_to_json,
     vector_to_json,
 )
+from kolmorep.simulation import run
 
 from helpers import random_diagonal_suite
 
@@ -200,6 +203,39 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
     ]) == 0
     verification = json.loads(capsys.readouterr().out)["verification"]
     assert verification["checked"] == 256 and verification["mismatches"] == []
+
+
+def test_censor_and_simulate_build_the_suite_under_the_run_policy(capsys, tmp_path):
+    coarse = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
+    cfg = OrsayConfig.from_degrees((37, 0, 0, 200))
+    suite = build_suite(cfg, coarse)
+    dist = switch_distribution(cfg, suite)
+    (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
+    (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, dist.weights)))
+    setup = ["--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json")]
+    flags = ["--tolerance", "1e-3", "--max-denominator", "100"]
+
+    assert main(["--format", "json", *flags, "censor", *setup]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verification"]["checked"] == 256 and payload["verification"]["mismatches"] == []
+    assert payload["space"] == censored_space_to_json(build_censored_space(suite, dist))
+
+    assert main([*flags, "simulate", *setup, "--trials", "50", "--seed", "4"]) == 0
+    assert capsys.readouterr().out.startswith(records_to_csv(run(suite, dist, 50, 4), 4))
+
+
+@pytest.mark.parametrize("name", [1, None, True, ["1"]])
+def test_simulate_query_names_must_be_strings(name, files, capsys, tmp_path):
+    suite = json.loads(Path(files["suite.json"]).read_text())
+    suite["measurements"][0]["name"] = "1"  # a name that a JSON number used to match
+    dist = json.loads(Path(files["dist.json"]).read_text().replace('"A"', '"1"'))
+    for file, payload in [("suite.json", suite), ("dist.json", dist), ("queries.json", {"queries": [{"outcomes": [name]}]})]:
+        (tmp_path / file).write_text(json.dumps(payload))
+    argv = ["simulate", "--trials", "5", *(f"--{f}={tmp_path / f}.json" for f in ("suite", "dist", "queries"))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: query 0: 'outcomes' and 'performed' entries must be strings\n"
 
 
 def test_censor_verifies_sixteen_measurements(capsys, tmp_path):

@@ -270,3 +270,11 @@ def test_queries_parsing():
     assert queries_from_json(obj) == [(("A",), ()), ((), ("B",))]
     with pytest.raises(SchemaError):
         queries_from_json({"queries": [{"outcomes": "A"}]})
+
+
+@pytest.mark.parametrize("name", [1, None, True, ["A"]])
+@pytest.mark.parametrize("key", ["outcomes", "performed"])
+def test_query_names_must_be_strings(key, name):
+    message = r"^query 1: 'outcomes' and 'performed' entries must be strings$"
+    with pytest.raises(SchemaError, match=message):
+        queries_from_json({"queries": [{"outcomes": ["A"]}, {key: ["A", name]}]})
