@@ -71,7 +71,7 @@ def _load_setup(args):
             f"warning: dim {suite.dim} is beyond the desk scale this tool targets; "
             "expect long runs\n"
         )
-    raw = distribution_from_json(_load_json(args.dist), suite, suite.policy)
+    raw = distribution_from_json(_load_json(args.dist), suite)
     return suite, validate_distribution(raw, compute_compatibility(suite))
 
 
@@ -203,16 +203,16 @@ def cmd_orsay(args):
     policy = _policy(args)
     weights = [parse_rational(w, policy) for w in args.weights.split(",")] if args.weights else None
     angles = [float(x) for x in args.angles.split(",")] if args.angles else orsay_mod.DEFAULT_ANGLES_DEG
-    cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights)
+    cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights, policy)
 
     out = {}
     if args.emit in ("vectors", "all"):
-        out["naked"] = vector_to_json(orsay_mod.naked_vector(cfg, policy))
-        effective = orsay_mod.effective_vector(cfg, policy=policy)
+        out["naked"] = vector_to_json(orsay_mod.naked_vector(cfg))
+        effective = orsay_mod.effective_vector(cfg)
         out["effective"] = vector_to_json(effective.vector)
         out["effective"]["events"] = [effective.label(i) for i in range(1, 9)]
     if args.emit in ("tables", "all"):
-        tab = orsay_mod.tables(cfg, policy)
+        tab = orsay_mod.tables(cfg)
         out["contexts"] = [{"label": t.label, "cells": _cells(t.cells)} for t in tab.context_tables]
         out["censored"] = _cells(tab.censored_cells)
     return 0, out

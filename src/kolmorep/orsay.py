@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import radians
-from typing import Optional
 
 from .censorship import (
     CensoredSpace,
@@ -51,13 +50,15 @@ def _quarter() -> tuple:
 
 @dataclass(frozen=True)
 class OrsayConfig:
-    """Angles (radians, xz-plane) of a, a', b, b' and the four context weights.
+    """Angles (radians, xz-plane) of a, a', b, b', the four context weights and the moments' policy.
 
-    Weights follow the context order (a,b), (a,b'), (a',b), (a',b').
+    Weights follow the context order (a,b), (a,b'), (a',b), (a',b'). Every
+    view of one config rationalizes its moments under `policy`.
     """
 
     angles: tuple = tuple(radians(x) for x in DEFAULT_ANGLES_DEG)
     weights: tuple = field(default_factory=_quarter)
+    policy: RationalizationPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         if len(self.angles) != 4:
@@ -68,15 +69,14 @@ class OrsayConfig:
             raise InvalidDistribution("context weights must sum to one")
 
     @staticmethod
-    def from_degrees(angles_deg, weights=None) -> "OrsayConfig":
+    def from_degrees(angles_deg, weights=None, policy: RationalizationPolicy = DEFAULT_POLICY) -> "OrsayConfig":
         angles = tuple(radians(float(x)) for x in angles_deg)
-        if weights is None:
-            return OrsayConfig(angles)
-        return OrsayConfig(angles, tuple(Fraction(w) for w in weights))
+        weights = _quarter() if weights is None else tuple(Fraction(w) for w in weights)
+        return OrsayConfig(angles, weights, policy)
 
 
-def build_suite(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> MeasurementSuite:
-    """Four projectors on the two-spin space, singlet state shared; moments rationalized under `policy`."""
+def build_suite(cfg: OrsayConfig) -> MeasurementSuite:
+    """Four projectors on the two-spin space, singlet state shared; moments rationalized under `cfg.policy`."""
     eye = identity(2)
     a, a2, b, b2 = (spin_projector_up(direction(t)) for t in cfg.angles)
     measurements = [
@@ -85,7 +85,7 @@ def build_suite(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY
         ("B", tensor(eye, b)),
         ("B'", tensor(eye, b2)),
     ]
-    return MeasurementSuite.make(singlet_density(), measurements, policy)
+    return MeasurementSuite.make(singlet_density(), measurements, cfg.policy)
 
 
 def switch_distribution(cfg: OrsayConfig, suite: MeasurementSuite) -> SetupDistribution:
@@ -93,25 +93,21 @@ def switch_distribution(cfg: OrsayConfig, suite: MeasurementSuite) -> SetupDistr
     return validate_distribution(dict(zip(CONTEXTS, cfg.weights)), structure)
 
 
-def naked_vector(
-    cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY
-) -> CorrelationVector:
+def naked_vector(cfg: OrsayConfig) -> CorrelationVector:
     """Conditional (trace-rule) vector on the cross-pair scheme.
 
     Singles are tr(W X), pairs tr(W X Y) for the four measured cross pairs;
     by the singlet algebra each pair value equals sin^2(theta/2)/2 for the
     angle between its two directions.
     """
-    suite = build_suite(cfg, policy)
+    suite = build_suite(cfg)
     scheme = ch_scheme()
     return CorrelationVector(scheme, {s: suite.moment(s) for s in scheme.sets})
 
 
-def effective_pair_vector(
-    cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY
-) -> CorrelationVector:
+def effective_pair_vector(cfg: OrsayConfig) -> CorrelationVector:
     """Observed counterpart of the naked vector on the same cross-pair scheme."""
-    suite = build_suite(cfg, policy)
+    suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
     scheme = ch_scheme()
     return CorrelationVector(scheme, {s: effective_probability(suite, dist, s, ()) for s in scheme.sets})
@@ -124,19 +120,15 @@ def _pair_scheme() -> ConjunctionScheme:
     return ConjunctionScheme.make(8, sets)
 
 
-def effective_vector(
-    cfg: OrsayConfig,
-    scheme: Optional[ConjunctionScheme] = None,
-    policy: RationalizationPolicy = DEFAULT_POLICY,
-) -> EffectiveVector:
-    """Effective probabilities over the eight events A, A', B, B', a, a', b, b'.
+def effective_vector(cfg: OrsayConfig) -> EffectiveVector:
+    """Effective probabilities of the singletons and pairs of the eight events A, A', B, B', a, a', b, b'.
 
     Indices 1..4 are the detector outcomes in that order, 5..8 the matching
-    switch selections. The default scheme holds all singletons and pairs.
+    switch selections.
     """
-    suite = build_suite(cfg, policy)
+    suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
-    return assemble_effective_vector(suite, dist, scheme or _pair_scheme())
+    return assemble_effective_vector(suite, dist, _pair_scheme())
 
 
 @dataclass(frozen=True)
@@ -154,7 +146,7 @@ class OrsayTables:
     censored: CensoredSpace
 
 
-def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> OrsayTables:
+def tables(cfg: OrsayConfig) -> OrsayTables:
     """Per-context 2x2 outcome tables plus the 16-cell censored-space table.
 
     The big table arranges the disjoint-union atoms on a grid: rows by the
@@ -162,7 +154,7 @@ def tables(cfg: OrsayConfig, policy: RationalizationPolicy = DEFAULT_POLICY) -> 
     (B, !B, B', !B'); each cell is the mass of the atom of the matching
     context with the matching outcome bits, or 0 if that context has no weight.
     """
-    suite = build_suite(cfg, policy)
+    suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
 
     context_tables = []

@@ -33,17 +33,17 @@ def _frobenius(m: np.ndarray) -> float:
     return sqrt(re.dot(re) + im.dot(im))
 
 
-def is_projector_matrix(m: np.ndarray, tol: float = TAU_OP) -> bool:
-    return _frobenius(m @ m - m) <= tol and _frobenius(m - m.conj().T) <= tol
+def is_projector_matrix(m: np.ndarray) -> bool:
+    return _frobenius(m @ m - m) <= TAU_OP and _frobenius(m - m.conj().T) <= TAU_OP
 
 
-def is_density_matrix(m: np.ndarray, tol: float = TAU_OP) -> bool:
-    if _frobenius(m - m.conj().T) > tol:
+def is_density_matrix(m: np.ndarray) -> bool:
+    if _frobenius(m - m.conj().T) > TAU_OP:
         return False
     trace = np.trace(m)
-    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
+    if abs(trace.real - 1.0) > TAU_OP or abs(trace.imag) > TAU_OP:
         return False
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
+    return bool(np.linalg.eigvalsh(m).min() >= -TAU_OP)
 
 
 class Operator:

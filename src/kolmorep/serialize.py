@@ -187,10 +187,8 @@ def distribution_to_json(suite: MeasurementSuite, weights: Mapping) -> dict:
     }
 
 
-def distribution_from_json(
-    obj, suite: MeasurementSuite, policy: RationalizationPolicy = DEFAULT_POLICY
-) -> dict:
-    """Raw context weights keyed by index sets; validate separately."""
+def distribution_from_json(obj, suite: MeasurementSuite) -> dict:
+    """Raw context weights keyed by index sets, read under `suite.policy`; validate separately."""
     out = {}
     for k, entry in enumerate(_expect(obj, "contexts", list, "distribution")):
         where = f"context {k}"
@@ -205,7 +203,7 @@ def distribution_from_json(
             raise SchemaError(f"{where}: repeated member in {members}")
         if key in out:
             raise SchemaError(f"{where}: duplicate context {sorted(members)}")
-        out[key] = parse_rational(_expect(entry, "weight", None, where), policy)
+        out[key] = parse_rational(_expect(entry, "weight", None, where), suite.policy)
     return out
 
 
@@ -230,10 +228,11 @@ def space_from_json(obj, policy: RationalizationPolicy = DEFAULT_POLICY) -> Kolm
         pid = _expect(entry, "id", str, where)
         points.append(pid)
         mass[pid] = parse_rational(_expect(entry, "mass", None, where), policy)
-    events_obj = _expect(obj, "events", dict, "space")
-    events = {
-        name: frozenset(str(p) for p in members) for name, members in events_obj.items()
-    }
+    events = {}
+    for name, members in _expect(obj, "events", dict, "space").items():
+        if not isinstance(members, list) or not all(isinstance(p, str) for p in members):
+            raise SchemaError(f"space event {name!r}: members must be a list of point ids")
+        events[name] = frozenset(members)
     return KolmogorovSpace(tuple(points), mass, events)
 
 
@@ -311,10 +310,9 @@ def queries_from_json(obj) -> list:
     out = []
     for k, entry in enumerate(_expect(obj, "queries", list, "queries")):
         where = f"query {k}"
-        outcomes = entry.get("outcomes", []) if isinstance(entry, dict) else None
-        performed = entry.get("performed", []) if isinstance(entry, dict) else None
-        if outcomes is None or performed is None:
+        if not isinstance(entry, dict):
             raise SchemaError(f"{where}: expected an object with 'outcomes'/'performed'")
+        outcomes, performed = entry.get("outcomes", []), entry.get("performed", [])
         if not isinstance(outcomes, list) or not isinstance(performed, list):
             raise SchemaError(f"{where}: 'outcomes' and 'performed' must be name lists")
         if not all(isinstance(name, str) for name in outcomes + performed):

@@ -1,5 +1,6 @@
 import inspect
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import cos, radians
@@ -41,7 +42,7 @@ from kolmorep import censorship, simulation
 from kolmorep.censorship import CensoredSpace, SetupDistribution
 from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
-from kolmorep.serialize import suite_from_json, suite_to_json
+from kolmorep.serialize import distribution_from_json, suite_from_json, suite_to_json
 
 from helpers import random_censorship_case, random_diagonal_suite, random_setup, random_suite
 from reference_censorship import verify_censorship as reference_verify
@@ -292,14 +293,14 @@ COARSE = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
 
 
 def test_a_suite_built_under_a_coarse_policy_is_consistent_end_to_end(monkeypatch):
-    cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200))
-    suite = orsay.build_suite(cfg, COARSE)
+    cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200), policy=COARSE)
+    suite = orsay.build_suite(cfg)
     dist = orsay.switch_distribution(cfg, suite)
 
     def coarse_moment(index_set):
         return rationalize(max(born(suite.density, [suite.proj(i) for i in sorted(index_set)]), 0.0), COARSE)
 
-    default = orsay.build_suite(cfg)
+    default = orsay.build_suite(orsay.OrsayConfig.from_degrees((37, 0, 0, 200)))
     assert any(coarse_moment(c) != default.moment(c) for c in orsay.CONTEXTS)  # the policy matters here
 
     report = verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=2 * suite.n)
@@ -329,7 +330,7 @@ def test_a_suite_built_under_a_coarse_policy_is_consistent_end_to_end(monkeypatc
 
 def test_suite_from_json_and_orsay_build_suite_carry_the_policy():
     cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200))
-    built = orsay.build_suite(cfg, COARSE)
+    built = orsay.build_suite(orsay.OrsayConfig.from_degrees((37, 0, 0, 200), policy=COARSE))
     read = suite_from_json(suite_to_json(built), COARSE)
     assert built.policy == read.policy == COARSE
     assert orsay.build_suite(cfg).policy == suite_from_json(suite_to_json(built)).policy == DEFAULT_POLICY
@@ -339,12 +340,13 @@ def test_suite_from_json_and_orsay_build_suite_carry_the_policy():
 
 
 def test_no_censorship_or_simulation_function_takes_a_policy():
-    for module in (censorship, simulation):
+    for module in (censorship, orsay, simulation):
         for name, obj in vars(module).items():
             if inspect.isfunction(obj) and obj.__module__ == module.__name__:
                 assert "policy" not in inspect.signature(obj).parameters, name
-    for method in (MeasurementSuite.moment, MeasurementSuite._mask_moment):
-        assert "policy" not in inspect.signature(method).parameters
+    for method in (MeasurementSuite.moment, MeasurementSuite._mask_moment, distribution_from_json):
+        assert "policy" not in inspect.signature(method).parameters, method.__name__
+    assert [f.name for f in fields(orsay.OrsayConfig)] == ["angles", "weights", "policy"]
 
 
 @pytest.mark.parametrize("angles", GENERIC_ANGLES)

@@ -11,11 +11,14 @@ from kolmorep.orsay import (
     OrsayConfig,
     build_suite,
     effective_pair_vector,
+    effective_vector,
     naked_vector,
     switch_distribution,
+    tables,
 )
 from kolmorep.polytope import vertex
 from kolmorep.ch import ch_scheme
+from kolmorep.rational import format_rational
 from kolmorep.serialize import (
     censored_space_to_json,
     distribution_to_json,
@@ -207,8 +210,8 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
 
 def test_censor_and_simulate_build_the_suite_under_the_run_policy(capsys, tmp_path):
     coarse = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
-    cfg = OrsayConfig.from_degrees((37, 0, 0, 200))
-    suite = build_suite(cfg, coarse)
+    cfg = OrsayConfig.from_degrees((37, 0, 0, 200), policy=coarse)
+    suite = build_suite(cfg)
     dist = switch_distribution(cfg, suite)
     (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
     (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, dist.weights)))
@@ -222,6 +225,32 @@ def test_censor_and_simulate_build_the_suite_under_the_run_policy(capsys, tmp_pa
 
     assert main([*flags, "simulate", *setup, "--trials", "50", "--seed", "4"]) == 0
     assert capsys.readouterr().out.startswith(records_to_csv(run(suite, dist, 50, 4), 4))
+
+
+def test_orsay_builds_every_view_under_the_run_policy(capsys):
+    coarse = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
+    cfg = OrsayConfig.from_degrees((37, 0, 0, 200), policy=coarse)
+    effective = effective_vector(cfg)
+    tab = tables(cfg)
+    expected = {
+        "naked": vector_to_json(naked_vector(cfg)),
+        "effective": {**vector_to_json(effective.vector), "events": [effective.label(i) for i in range(1, 9)]},
+        "contexts": [
+            {"label": t.label, "cells": {f"{r}|{c}": format_rational(v) for (r, c), v in t.cells.items()}}
+            for t in tab.context_tables
+        ],
+        "censored": {f"{r}|{c}": format_rational(v) for (r, c), v in tab.censored_cells.items()},
+    }
+    argv = ["orsay", "--angles", "37,0,0,200"]
+
+    assert main(["--format", "json", "--tolerance", "1e-3", "--max-denominator", "100", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == expected
+    assert {tuple(e["I"]): e["p"] for e in payload["naked"]["entries"]}[(1, 3)] == "5/99"
+
+    assert main(["--format", "json", *argv]) == 0
+    naked = {tuple(e["I"]): e["p"] for e in json.loads(capsys.readouterr().out)["naked"]["entries"]}
+    assert naked[(1, 3)] == "23885/474463"
 
 
 @pytest.mark.parametrize("name", [1, None, True, ["1"]])

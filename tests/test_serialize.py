@@ -240,6 +240,14 @@ def test_space_round_trip():
     assert again == space
 
 
+@pytest.mark.parametrize("members", [[1, None], ["1", 1], "ab", {"1": "None"}, None, 1])
+def test_space_event_members_must_be_a_list_of_point_ids(members):
+    # Point ids that the str() of a number, a null or a character would match.
+    points = [{"id": pid, "mass": "1/4"} for pid in ("1", "None", "a", "b")]
+    with pytest.raises(SchemaError, match=r"^space event 'A': members must be a list of point ids$"):
+        space_from_json({"points": points, "events": {"A": members}})
+
+
 def test_censored_space_json_carries_event_maps():
     cfg = OrsayConfig()
     suite = build_suite(cfg)
@@ -270,6 +278,14 @@ def test_queries_parsing():
     assert queries_from_json(obj) == [(("A",), ()), ((), ("B",))]
     with pytest.raises(SchemaError):
         queries_from_json({"queries": [{"outcomes": "A"}]})
+
+
+@pytest.mark.parametrize("value", [None, "A", 1, {"A": 1}])
+@pytest.mark.parametrize("key", ["outcomes", "performed"])
+def test_query_name_lists_must_be_lists(key, value):
+    message = r"^query 0: 'outcomes' and 'performed' must be name lists$"
+    with pytest.raises(SchemaError, match=message):
+        queries_from_json({"queries": [{key: value}]})
 
 
 @pytest.mark.parametrize("name", [1, None, True, ["A"]])
