@@ -12,7 +12,6 @@ from .censorship import (
     CensoredSpace,
     CompatibilityStructure,
     EffectiveVector,
-    Measurement,
     MeasurementSuite,
     SetupDistribution,
     VerificationReport,

@@ -61,46 +61,41 @@ MAX_COMPARED = 1 << 22  # integers compared in one verification pass: 32 MB of i
 
 
 @dataclass(frozen=True)
-class Measurement:
-    name: str
-    projector: Operator
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise KolmorepError("measurement names must be non-empty")
-        if not self.projector.has_tag("projector"):
-            raise KolmorepError(f"measurement {self.name!r} needs a validated projector")
-
-
-@dataclass(frozen=True)
 class MeasurementSuite:
-    """A shared density operator and an ordered list of named projectors.
+    """A shared density operator and ordered, named projectors: ``projectors[k]`` is named ``names[k]``.
 
     ``policy`` turns every moment into a fraction; it is fixed with the suite.
     """
 
     density: Operator
-    measurements: tuple
+    names: tuple
+    projectors: tuple
     policy: RationalizationPolicy = DEFAULT_POLICY
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.names) != len(self.projectors):
+            raise KolmorepError(f"{len(self.names)} measurement names for {len(self.projectors)} projectors")
+        for name, proj in zip(self.names, self.projectors):
+            if not name:
+                raise KolmorepError("measurement names must be non-empty")
+            if not proj.has_tag("projector"):
+                raise KolmorepError(f"measurement {name!r} needs a validated projector")
         if not self.density.has_tag("density"):
             raise KolmorepError("suite state must be a validated density operator")
-        names = [m.name for m in self.measurements]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise KolmorepError("measurement names must be unique")
-        for m in self.measurements:
-            if m.projector.dim != self.density.dim:
-                raise KolmorepError(
-                    f"measurement {m.name!r} has dim {m.projector.dim}, state has dim {self.density.dim}"
-                )
+        for name, proj in zip(self.names, self.projectors):
+            if proj.dim != self.density.dim:
+                raise KolmorepError(f"measurement {name!r} has dim {proj.dim}, state has dim {self.density.dim}")
 
     @staticmethod
     def make(
         density: Operator, measurements: Iterable, policy: RationalizationPolicy = DEFAULT_POLICY
     ) -> "MeasurementSuite":
-        return MeasurementSuite(density, tuple(Measurement(n, p) for n, p in measurements), policy)
+        """The suite of (name, projector) pairs."""
+        pairs = tuple(measurements)
+        return MeasurementSuite(density, tuple(n for n, _ in pairs), tuple(p for _, p in pairs), policy)
 
     @property
     def dim(self) -> int:
@@ -108,37 +103,31 @@ class MeasurementSuite:
 
     @property
     def n(self) -> int:
-        return len(self.measurements)
-
-    @property
-    def names(self) -> tuple:
-        return tuple(m.name for m in self.measurements)
+        return len(self.names)
 
     def index(self, name: str) -> int:
         """1-based index of a measurement name."""
-        for k, m in enumerate(self.measurements, start=1):
-            if m.name == name:
-                return k
-        raise KolmorepError(f"no measurement named {name!r}")
+        if name not in self.names:
+            raise KolmorepError(f"no measurement named {name!r}")
+        return self.names.index(name) + 1
 
-    def _measurement(self, i: int) -> Measurement:
-        """The measurement with 1-based index `i`."""
+    def _position(self, i: int) -> int:
+        """The 0-based position of 1-based index `i`, checked to lie in 1..n."""
         if not 1 <= i <= self.n:
             raise KolmorepError(f"no measurement with index {i}: the suite has {self.n}, indexed 1..{self.n}")
-        return self.measurements[i - 1]
+        return i - 1
 
     def proj(self, i: int) -> Operator:
-        return self._measurement(i).projector
+        return self.projectors[self._position(i)]
 
     def name_of(self, i: int) -> str:
-        return self._measurement(i).name
+        return self.names[self._position(i)]
 
     def _mask_of(self, index_set: Iterable[int]) -> int:
         """Bitmask of 1-based measurement indices, each checked like ``proj`` checks it."""
         mask = 0
         for i in index_set:
-            self._measurement(i)
-            mask |= 1 << (i - 1)
+            mask |= 1 << self._position(i)
         return mask
 
     def moment(self, index_set: Iterable[int]) -> Fraction:

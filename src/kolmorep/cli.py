@@ -31,7 +31,7 @@ from .censorship import (
 from .ch import ch_evaluate
 from .errors import IncompatibleSupport, KolmorepError
 from .polytope import ConjunctionScheme, Inside, Outside, membership, representation_from_weights
-from .rational import RationalizationPolicy, format_rational, parse_rational
+from .rational import RationalizationPolicy, format_rational
 from .serialize import (
     censored_space_to_json, distribution_from_json, estimates_to_json, queries_from_json, records_to_csv,
     records_to_json, space_to_json, suite_from_json, vector_from_json, vector_to_json, weights_from_json,
@@ -200,10 +200,9 @@ def text_censor(payload, args) -> str:
 
 
 def cmd_orsay(args):
-    policy = _policy(args)
-    weights = [parse_rational(w, policy) for w in args.weights.split(",")] if args.weights else None
+    weights = args.weights.split(",") if args.weights else None
     angles = [float(x) for x in args.angles.split(",")] if args.angles else orsay_mod.DEFAULT_ANGLES_DEG
-    cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights, policy)
+    cfg = orsay_mod.OrsayConfig.from_degrees(angles, weights, _policy(args))
 
     out = {}
     if args.emit in ("vectors", "all"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import radians
 
 from .censorship import (
@@ -36,7 +37,7 @@ from .errors import InvalidDistribution, KolmorepError
 from .polytope import ConjunctionScheme, CorrelationVector
 from .quantum import born  # noqa: F401  (unused here; perfbench's tracer test reads orsay.born)
 from .quantum import direction, identity, singlet_density, spin_projector_up, tensor
-from .rational import DEFAULT_POLICY, RationalizationPolicy
+from .rational import DEFAULT_POLICY, RationalizationPolicy, parse_rational
 
 MEASUREMENT_NAMES = ("A", "A'", "B", "B'")
 SWITCH_NAMES = ("a", "a'", "b", "b'")
@@ -53,7 +54,8 @@ class OrsayConfig:
     """Angles (radians, xz-plane) of a, a', b, b', the four context weights and the moments' policy.
 
     Weights follow the context order (a,b), (a,b'), (a',b), (a',b'). Every
-    view of one config rationalizes its moments under `policy`.
+    view of one config reads its one ``suite``, whose moments are
+    rationalized under `policy`.
     """
 
     angles: tuple = tuple(radians(x) for x in DEFAULT_ANGLES_DEG)
@@ -70,9 +72,15 @@ class OrsayConfig:
 
     @staticmethod
     def from_degrees(angles_deg, weights=None, policy: RationalizationPolicy = DEFAULT_POLICY) -> "OrsayConfig":
+        """A config from angles in degrees; each weight is read like a JSON value, floats under `policy`."""
         angles = tuple(radians(float(x)) for x in angles_deg)
-        weights = _quarter() if weights is None else tuple(Fraction(w) for w in weights)
+        weights = _quarter() if weights is None else tuple(parse_rational(w, policy) for w in weights)
         return OrsayConfig(angles, weights, policy)
+
+    @cached_property
+    def suite(self) -> MeasurementSuite:
+        """The config's suite, built once and shared by every view."""
+        return build_suite(self)
 
 
 def build_suite(cfg: OrsayConfig) -> MeasurementSuite:
@@ -100,14 +108,13 @@ def naked_vector(cfg: OrsayConfig) -> CorrelationVector:
     by the singlet algebra each pair value equals sin^2(theta/2)/2 for the
     angle between its two directions.
     """
-    suite = build_suite(cfg)
     scheme = ch_scheme()
-    return CorrelationVector(scheme, {s: suite.moment(s) for s in scheme.sets})
+    return CorrelationVector(scheme, {s: cfg.suite.moment(s) for s in scheme.sets})
 
 
 def effective_pair_vector(cfg: OrsayConfig) -> CorrelationVector:
     """Observed counterpart of the naked vector on the same cross-pair scheme."""
-    suite = build_suite(cfg)
+    suite = cfg.suite
     dist = switch_distribution(cfg, suite)
     scheme = ch_scheme()
     return CorrelationVector(scheme, {s: effective_probability(suite, dist, s, ()) for s in scheme.sets})
@@ -126,7 +133,7 @@ def effective_vector(cfg: OrsayConfig) -> EffectiveVector:
     Indices 1..4 are the detector outcomes in that order, 5..8 the matching
     switch selections.
     """
-    suite = build_suite(cfg)
+    suite = cfg.suite
     dist = switch_distribution(cfg, suite)
     return assemble_effective_vector(suite, dist, _pair_scheme())
 
@@ -154,7 +161,7 @@ def tables(cfg: OrsayConfig) -> OrsayTables:
     (B, !B, B', !B'); each cell is the mass of the atom of the matching
     context with the matching outcome bits, or 0 if that context has no weight.
     """
-    suite = build_suite(cfg)
+    suite = cfg.suite
     dist = switch_distribution(cfg, suite)
 
     context_tables = []

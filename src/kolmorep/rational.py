@@ -66,8 +66,10 @@ def parse_rational(value, policy: RationalizationPolicy = DEFAULT_POLICY) -> Fra
     """Parse a JSON scalar (int, fraction/decimal string, or float) exactly.
 
     Strings go through ``Fraction`` directly, so "3/8", "0.375" and "2" are
-    all exact. Floats are rationalized under the policy.
+    all exact. Floats are rationalized under the policy; a ``Fraction`` passes through.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise NumericalFailure(f"expected a number, got {value!r}")
     if isinstance(value, int):

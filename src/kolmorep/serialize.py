@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .censorship import CensoredSpace, MeasurementSuite
-from .errors import SchemaError
+from .errors import KolmorepError, SchemaError
 from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace
 from .quantum import Operator
 from .rational import DEFAULT_POLICY, RationalizationPolicy, format_rational, parse_rational
@@ -150,8 +150,8 @@ def suite_to_json(suite: MeasurementSuite) -> dict:
         "dim": suite.dim,
         "density": matrix_to_json(suite.density),
         "measurements": [
-            {"name": m.name, "projector": matrix_to_json(m.projector)}
-            for m in suite.measurements
+            {"name": name, "projector": matrix_to_json(proj)}
+            for name, proj in zip(suite.names, suite.projectors)
         ],
     }
 
@@ -197,7 +197,7 @@ def distribution_from_json(obj, suite: MeasurementSuite) -> dict:
             raise SchemaError(f"{where}: members must be non-empty")
         try:
             key = frozenset(suite.index(name) for name in members)
-        except Exception as exc:
+        except KolmorepError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         if len(key) != len(members):
             raise SchemaError(f"{where}: repeated member in {members}")

@@ -23,6 +23,7 @@ from kolmorep import (
     RationalizationPolicy,
     SchemeMismatch,
     TooLarge,
+    UnknownEvent,
     assemble_effective_vector,
     born,
     build_censored_space,
@@ -68,6 +69,77 @@ def diagonal_suite():
     p2 = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
     p3 = Operator(np.diag([1.0, 1.0, 1.0, 0.0]), tags=("projector",))
     return MeasurementSuite.make(w, [("M1", p1), ("M2", p2), ("M3", p3)])
+
+
+# --- suite validation ------------------------------------------------------------
+
+DENSITY2 = Operator(np.diag([0.5, 0.5]), tags=("density",))
+PROJ2 = Operator(np.diag([1.0, 0.0]), tags=("projector",))
+PROJ4 = Operator(np.diag([1.0, 0.0, 0.0, 0.0]), tags=("projector",))
+PLAIN2 = Operator(np.diag([1.0, 0.0]))  # a projector matrix without the validated tag
+
+
+@pytest.mark.parametrize("density, pairs, message", [
+    (DENSITY2, [("A", PROJ2), ("", PROJ2)], "measurement names must be non-empty"),
+    (DENSITY2, [("A", PROJ2), (None, PROJ2)], "measurement names must be non-empty"),
+    (DENSITY2, [("A", PROJ2), ("B", PLAIN2)], "measurement 'B' needs a validated projector"),
+    (PLAIN2, [("A", PROJ2)], "suite state must be a validated density operator"),
+    (DENSITY2, [("A", PROJ2), ("A", PROJ2)], "measurement names must be unique"),
+    (DENSITY2, [("A", PROJ2), ("B", PROJ4)], "measurement 'B' has dim 4, state has dim 2"),
+    # The first failing check fires: each measurement's name, then its projector, in order ...
+    (PLAIN2, [("A", PLAIN2), ("", PROJ4)], "measurement 'A' needs a validated projector"),
+    (PLAIN2, [("A", PROJ4), ("", PLAIN2)], "measurement names must be non-empty"),
+    # ... then the density, the uniqueness of the names and the dims.
+    (PLAIN2, [("A", PROJ4), ("A", PROJ4)], "suite state must be a validated density operator"),
+    (DENSITY2, [("A", PROJ4), ("A", PROJ2)], "measurement names must be unique"),
+    (DENSITY2, [("A", PROJ2), ("B", PROJ4), ("C", PROJ4)], "measurement 'B' has dim 4, state has dim 2"),
+])
+def test_suite_validation_errors(density, pairs, message):
+    with pytest.raises(KolmorepError, match=f"^{message}$") as info:
+        MeasurementSuite.make(density, pairs)
+    assert type(info.value) is KolmorepError
+
+
+def test_a_suite_needs_one_name_per_projector():
+    with pytest.raises(KolmorepError, match="^2 measurement names for 1 projectors$") as info:
+        MeasurementSuite(DENSITY2, ("A", "B"), (PROJ2,))
+    assert type(info.value) is KolmorepError
+
+
+def _first_suite_error(density, pairs):
+    """The message of the first suite check that fails, in the order the suite checks."""
+    for name, proj in pairs:
+        if not name:
+            return "measurement names must be non-empty"
+        if not proj.has_tag("projector"):
+            return f"measurement {name!r} needs a validated projector"
+    if not density.has_tag("density"):
+        return "suite state must be a validated density operator"
+    names = [name for name, _ in pairs]
+    if len(set(names)) != len(names):
+        return "measurement names must be unique"
+    for name, proj in pairs:
+        if proj.dim != density.dim:
+            return f"measurement {name!r} has dim {proj.dim}, state has dim {density.dim}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    density=st.sampled_from([DENSITY2, PLAIN2]),
+    pairs=st.lists(st.tuples(st.sampled_from(["", "A", "B", "C"]), st.sampled_from([PROJ2, PROJ4, PLAIN2])),
+                   max_size=4),
+)
+def test_suite_validation_fires_the_first_failing_check(density, pairs):
+    expected = _first_suite_error(density, pairs)
+    if expected is None:
+        suite = MeasurementSuite.make(density, pairs)
+        assert suite.names == tuple(name for name, _ in pairs)
+        assert [suite.proj(i) for i in range(1, suite.n + 1)] == [proj for _, proj in pairs]
+        return
+    with pytest.raises(KolmorepError) as info:
+        MeasurementSuite.make(density, pairs)
+    assert type(info.value) is KolmorepError and str(info.value) == expected
 
 
 # --- compatibility -------------------------------------------------------------
@@ -143,6 +215,20 @@ def test_validate_distribution_accepts_orsay(orsay_setup):
     suite, dist = orsay_setup
     assert sum(dist.weights.values()) == 1
     assert len(dist.support) == 4
+
+
+def test_validate_distribution_rejects_a_context_listed_twice(orsay_setup):
+    structure = compute_compatibility(orsay_setup[0])
+    with pytest.raises(InvalidDistribution, match=r"^duplicate context \[1, 3\]$"):
+        validate_distribution({(1, 3): F(1, 2), (3, 1): F(1, 2)}, structure)
+
+
+@pytest.mark.parametrize("context", [(), (1, 5), (0,)])
+def test_validate_distribution_rejects_an_empty_or_out_of_range_context(orsay_setup, context):
+    structure = compute_compatibility(orsay_setup[0])
+    message = rf"^context \[{', '.join(map(str, sorted(context)))}\] is not a non-empty subset of 1\.\.4$"
+    with pytest.raises(InvalidDistribution, match=message):
+        validate_distribution({context: F(1)}, structure)
 
 
 def test_validate_distribution_rejects_incompatible_mass(orsay_setup):
@@ -229,6 +315,11 @@ def test_context_space_identity_projector():
     suite = MeasurementSuite.make(w, [("M", Operator(np.eye(2), tags=("projector",)))])
     space = context_space({1}, suite)
     assert [space.mass[p] for p in space.points] == [F(1), F(0)]
+
+
+def test_context_space_rejects_an_empty_context(orsay_setup):
+    with pytest.raises(IncompatibleContext, match="^a context needs at least one measurement$"):
+        context_space(set(), orsay_setup[0])
 
 
 def test_context_space_rejects_incompatible(orsay_setup):
@@ -451,6 +542,26 @@ def test_two_disjoint_contexts_mix_by_half():
             assert censored.space.mass[f"{name}|{pid}"] == local.mass[pid] / 2
 
 
+def test_names_that_collide_with_switch_event_keys_are_rejected():
+    w = Operator(np.diag([0.5, 0.5]), tags=("density",))
+    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [("A", p), ("performed:A", p)])
+    dist = validate_distribution({frozenset({1, 2}): F(1)}, compute_compatibility(suite))
+    with pytest.raises(KolmorepError, match="^measurement names collide with switch event keys$") as info:
+        build_censored_space(suite, dist)
+    assert type(info.value) is KolmorepError
+
+
+def test_verify_censorship_rejects_a_space_without_an_event_key(orsay_setup):
+    suite, dist = orsay_setup
+    censored = build_censored_space(suite, dist)
+    events = {k: v for k, v in censored.space.events.items() if k != "A'"}
+    space = KolmogorovSpace(censored.space.points, censored.space.mass, events)
+    broken = CensoredSpace(space, censored.outcome_events, censored.switch_events)
+    with pytest.raises(UnknownEvent, match="^no event named \"A'\"$"):
+        verify_censorship(broken, suite, dist)
+
+
 def test_verify_censorship_clean(orsay_setup):
     suite, dist = orsay_setup
     censored = build_censored_space(suite, dist)
@@ -523,6 +634,14 @@ def test_assembled_entries_equal_effective_probability_random_suites():
         triples = [{i, j, k} for i in range(1, m + 1) for j in range(i + 1, m + 1) for k in range(j + 1, m + 1)]
         scheme = ConjunctionScheme.make(m, [set(s) for s in pairs_and_singletons(m).sets] + triples)
         assert_entries_match_effective_probability(suite, dist, scheme)
+
+
+@pytest.mark.parametrize("index", [0, 9, -1])
+def test_effective_vector_label_rejects_an_index_outside_the_events(orsay_setup, index):
+    suite, dist = orsay_setup
+    eff = assemble_effective_vector(suite, dist, ConjunctionScheme.singletons(8))
+    with pytest.raises(SchemeMismatch, match=rf"^event index {index} outside 1\.\.8$"):
+        eff.label(index)
 
 
 def test_assemble_effective_vector_scheme_guard(orsay_setup):

@@ -388,6 +388,63 @@ def test_a_boolean_or_string_matrix_entry_is_exit_1(cell, files, capsys, tmp_pat
     assert captured.err == "error: density: entry (0,0) must hold two numbers\n"
 
 
+def _wrong_row_length(suite):
+    suite["density"]["entries"][1] = suite["density"]["entries"][1][:3]
+
+
+def _wrong_density_dim(suite):
+    suite["dim"] = 2
+
+
+def _switch_event_name(suite):
+    suite["measurements"][1]["name"] = "performed:A"
+
+
+@pytest.mark.parametrize("edit_suite, dist, queries, message", [
+    (_wrong_row_length, None, None, "density: row 1 must hold 4 [re, im] pairs"),
+    (_wrong_density_dim, None, None, "suite: density dim 4 does not match 2"),
+    (None, [{"members": [], "weight": 1}], None, "context 0: members must be non-empty"),
+    (None, [{"members": [None], "weight": 1}], None, "context 0: no measurement named None"),
+    (None, [{"members": [1], "weight": 1}], None, "context 0: no measurement named 1"),
+    (None, [{"members": ["A", "B"], "weight": "1/2"}, {"members": ["B", "A"], "weight": "1/2"}], None,
+     "context 1: duplicate context ['A', 'B']"),
+    (None, None, ["A"], "query 0: expected an object with 'outcomes'/'performed'"),
+])
+def test_a_malformed_setup_file_is_exit_1(edit_suite, dist, queries, message, files, capsys, tmp_path):
+    suite = json.loads(Path(files["suite.json"]).read_text())
+    if edit_suite:
+        edit_suite(suite)
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    (tmp_path / "dist.json").write_text(Path(files["dist.json"]).read_text() if dist is None
+                                        else json.dumps({"contexts": dist}))
+    (tmp_path / "queries.json").write_text(json.dumps({"queries": queries or []}))
+    argv = ["simulate", "--trials", "5", *(f"--{f}={tmp_path / f}.json" for f in ("suite", "dist", "queries"))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_measurement_names_that_collide_with_switch_events_are_exit_1(tmp_path, capsys):
+    w = {"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+    p = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    suite = {"dim": 2, "density": w, "measurements": [{"name": "A", "projector": p},
+                                                      {"name": "performed:A", "projector": p}]}
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    (tmp_path / "dist.json").write_text(json.dumps({"contexts": [{"members": ["A", "performed:A"], "weight": 1}]}))
+    assert main(["censor", "--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: measurement names collide with switch event keys\n"
+
+
+def test_a_weights_file_with_an_assignment_twice_is_exit_1(tmp_path, capsys):
+    payload = {"n": 2, "weights": [{"eps": [1, 0], "p": "1/2"}, {"eps": [1, 0], "p": "1/2"}]}
+    (tmp_path / "weights.json").write_text(json.dumps(payload))
+    assert main(["represent", str(tmp_path / "weights.json")]) == 1
+    assert capsys.readouterr().err == "error: weights entry 1: duplicate assignment [1, 0]\n"
+
+
 @pytest.mark.parametrize("argv", [["--tolerance", "inf", "orsay"], ["orsay", "--weights", "1/0,0,0,0"]])
 def test_an_infinite_tolerance_or_a_zero_denominator_weight_is_exit_1(argv, capsys):
     assert main(argv) == 1

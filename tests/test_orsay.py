@@ -7,10 +7,13 @@ from kolmorep import (
     Inside,
     InvalidDistribution,
     KolmorepError,
+    NumericalFailure,
     Outside,
     ch_evaluate,
     membership,
 )
+from kolmorep import orsay
+from kolmorep.cli import main
 from kolmorep.orsay import (
     DEFAULT_ANGLES_DEG,
     OrsayConfig,
@@ -129,6 +132,47 @@ def test_config_validation():
         OrsayConfig(weights=(F(1, 2), F(1, 2), F(0), F(1, 2)))
     with pytest.raises(InvalidDistribution):
         OrsayConfig(weights=(F(3, 2), F(-1, 2), F(0), F(0)))
+
+
+TENTHS = OrsayConfig(weights=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
+
+
+@pytest.mark.parametrize("weights", [
+    [0.1, 0.2, 0.3, 0.4], ["0.1", "0.2", "0.3", "0.4"], ["1/10", "1/5", "3/10", "2/5"],
+    [F(1, 10), F(1, 5), F(3, 10), F(2, 5)],
+])
+def test_from_degrees_reads_weights_as_the_cli_does(weights):
+    assert OrsayConfig.from_degrees(DEFAULT_ANGLES_DEG, weights) == TENTHS
+
+
+@pytest.mark.parametrize("text", ["0.1,0.2,0.3,0.4", "1/10,1/5,3/10,2/5", " 0.1, 1/5,0.3 ,2/5"])
+def test_the_cli_builds_the_library_config_from_its_weights(monkeypatch, capsys, text):
+    built = []
+    real_build_suite = orsay.build_suite
+
+    def spy(cfg):
+        built.append(cfg)
+        return real_build_suite(cfg)
+
+    monkeypatch.setattr(orsay, "build_suite", spy)
+    assert main(["orsay", "--emit", "all", "--weights", text]) == 0
+    assert built == [TENTHS]  # one suite for all three views
+    capsys.readouterr()
+
+
+def test_a_boolean_weight_is_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="expected a number, got True"):
+        OrsayConfig.from_degrees(DEFAULT_ANGLES_DEG, [True, 0, 0, 0])
+
+
+def test_every_view_reads_the_configs_one_suite(monkeypatch):
+    built = []
+    real_build_suite = orsay.build_suite
+    monkeypatch.setattr(orsay, "build_suite", lambda cfg: built.append(cfg) or real_build_suite(cfg))
+    cfg = OrsayConfig()
+    for view in (naked_vector, effective_pair_vector, effective_vector, tables):
+        view(cfg)
+    assert built == [cfg] and cfg.suite is cfg.suite
 
 
 def test_suite_shape():

@@ -213,6 +213,22 @@ def test_space_validation():
         representation_from_weights({(1, 1, 1): F(1)}, scheme)
 
 
+def test_representation_rejects_two_keys_for_one_assignment():
+    scheme = ConjunctionScheme.singletons(2)
+    with pytest.raises(InvalidDistribution, match=r"^duplicate weight for assignment \(1, 0\)$"):
+        representation_from_weights({(1, 0): F(1, 2), ("1", "0"): F(1, 2)}, scheme)
+
+
+@pytest.mark.parametrize("points, mass, events, error, message", [
+    (("x", "x"), {"x": F(1)}, {}, InvalidDistribution, "duplicate point identifiers"),
+    (("x", "y"), {"x": F(1)}, {}, InvalidDistribution, "masses must cover the points exactly"),
+    (("x",), {"x": F(1)}, {"E": frozenset({"x", "z"})}, UnknownEvent, "event 'E' references unknown points"),
+])
+def test_kolmogorov_space_validation(points, mass, events, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        KolmogorovSpace(points, mass, events)
+
+
 def test_evaluate_unknown_event():
     space = KolmogorovSpace(("x",), {"x": F(1)}, {"E": frozenset({"x"})})
     assert evaluate(space, {"E"}) == 1

@@ -212,6 +212,35 @@ def test_suite_round_trip_and_validation():
         suite_from_json(bad)
 
 
+def test_a_matrix_row_of_the_wrong_length_is_a_schema_error():
+    with pytest.raises(SchemaError, match=r"^density: row 1 must hold 2 \[re, im\] pairs$"):
+        matrix_from_json({"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}, "density")
+
+
+def test_a_density_of_another_dim_than_the_suite_is_a_schema_error():
+    payload = suite_to_json(build_suite(OrsayConfig()))
+    payload["dim"] = 2
+    with pytest.raises(SchemaError, match="^suite: density dim 4 does not match 2$"):
+        suite_from_json(payload)
+
+
+@pytest.mark.parametrize("contexts, message", [
+    ([{"members": [], "weight": 1}], "context 0: members must be non-empty"),
+    ([{"members": ["A", "B"], "weight": "1/2"}, {"members": ["B", "A"], "weight": "1/2"}],
+     r"context 1: duplicate context \['A', 'B'\]"),
+    ([{"members": [None], "weight": 1}], "context 0: no measurement named None"),
+    ([{"members": [1], "weight": 1}], "context 0: no measurement named 1"),
+])
+def test_distribution_schema_errors(contexts, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        distribution_from_json({"contexts": contexts}, build_suite(OrsayConfig()))
+
+
+def test_a_query_that_is_not_an_object_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^query 1: expected an object with 'outcomes'/'performed'$"):
+        queries_from_json({"queries": [{"outcomes": ["A"]}, ["A"]]})
+
+
 def test_distribution_round_trip_by_names():
     suite = build_suite(OrsayConfig())
     dist = switch_distribution(OrsayConfig(), suite)
