@@ -8,6 +8,10 @@ itself (CSV, or JSON with ``--format json``, to stdout or ``-o``): the
 serialize writers build every record's text from the trial columns, with no
 dict per trial, so there is no records payload for `main` to print.
 
+`main` may be called any number of times in one process; the calls share
+one parser, built on the first call, so each pays only for its command.
+`build_parser()` returns a fresh parser.
+
 Exit codes are a stable contract across subcommands:
 0 success / property holds, 2 negative verdict (outside the polytope,
 inequality violated, verification mismatches), 3 setup distribution puts
@@ -18,6 +22,7 @@ bad arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,12 +52,14 @@ def _load_json(path: str):
 
 def _emit(text: str, path=None) -> None:
     """Write `text`, newline-terminated, to stdout or else to a new file at `path`."""
-    text = text if text.endswith("\n") else text + "\n"
+    newline = "" if text.endswith("\n") else "\n"  # written apart: `text + "\n"` copies all of it
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.write(newline)
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+        fh.write(newline)
 
 
 def _policy(args) -> RationalizationPolicy:
@@ -346,10 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` shares across calls, built on the first call. Parsing
+# never mutates it: each subcommand parses into a fresh namespace, and no
+# action has a mutable default.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

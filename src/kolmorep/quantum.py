@@ -9,7 +9,7 @@ rather than trusted from input files.
 
 from __future__ import annotations
 
-from math import cos, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,6 +112,9 @@ def complement(p: Operator) -> Operator:
 
 def direction(theta: float, phi: float = 0.0) -> np.ndarray:
     """Unit vector at polar angle theta, azimuth phi."""
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not isfinite(angle):
+            raise InvalidDirection(f"direction angle {name} must be finite, got {angle}")
     return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
 
 

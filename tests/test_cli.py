@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -450,3 +453,51 @@ def test_an_infinite_tolerance_or_a_zero_denominator_weight_is_exit_1(argv, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_a_non_finite_orsay_angle_is_exit_1(angle, capsys):
+    assert main(["orsay", "--angles", f"120,{angle},0,240"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: direction angle theta must be finite, got {angle}\n"
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("sequence, codes", [
+    ([["--format", "json", "orsay", "--emit", "vectors"], ["orsay", "--emit", "vectors", "--format", "json"],
+      ["orsay", "--emit", "vectors"]], [0, 0, 0]),
+    ([["check", "--n-max", "2", "naked.json"], ["check", "naked.json"]], [1, 2]),
+    ([["censor", "--suite", "suite.json", "--dist", "dist.json", "--max-order", "1"],
+      ["censor", "--suite", "suite.json", "--dist", "dist.json"]], [0, 0]),
+    ([["represent", "weights.json", "-o", "space-out.json"], ["represent", "weights.json"]], [0, 0]),
+    ([["--tolerance", "1e-3", "check", "effective.json"], ["check"], ["--help"], ["check", "--help"],
+      ["check", "effective.json", "--format", "json"], ["check", "effective.json"]], [0, 1, 0, 0, 0, 0]),
+], ids=["format", "n-max", "max-order", "output", "errors-and-help"])
+def test_the_shared_parser_keeps_no_state_between_calls(sequence, codes, files, capsys, monkeypatch):
+    monkeypatch.chdir(files["root"])
+    shared = [_run(argv, capsys) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", build_parser)  # each call alone, through a fresh parser
+    assert shared == [_run(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in shared] == codes
+
+
+def test_main_builds_its_parser_once(files, capsys):
+    cli._parser.cache_clear()
+    assert main(["check", files["vertex.json"]]) == 0
+    assert main(["ch", files["vertex.json"]]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import kolmorep.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "0\n"

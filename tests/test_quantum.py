@@ -43,6 +43,16 @@ def test_spin_projector_rejects_non_unit_direction():
         spin_projector_up((1.0, 1.0))
 
 
+@pytest.mark.parametrize("theta, phi, message", [
+    (np.inf, 0.0, "direction angle theta must be finite, got inf"),
+    (-np.inf, 0.0, "direction angle theta must be finite, got -inf"),
+    (0.0, np.nan, "direction angle phi must be finite, got nan"),
+])
+def test_direction_rejects_non_finite_angles(theta, phi, message):
+    with pytest.raises(InvalidDirection, match=f"^{message}$"):
+        direction(theta, phi)
+
+
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
 def test_spin_projector_partition_of_identity(theta, phi):
