@@ -330,16 +330,21 @@ def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> Ce
     """Glue the supported contexts into one finite probability space.
 
     Only contexts with positive weight contribute points; zero-weight
-    contexts would add null atoms without changing any probability.
+    contexts would add null atoms without changing any probability. A point
+    id is its context's member names joined by ',', then '|' and the context
+    point; two contexts whose joined names coincide are rejected.
     """
     points = []
     mass = {}
     outcome_sets = {name: set() for name in suite.names}
     switch_sets = {name: set() for name in suite.names}
+    labelled = {}  # point label -> the names of the context that took it
 
     for context in dist.support:
         names = [suite.name_of(i) for i in sorted(context)]
         label = ",".join(names)
+        if labelled.setdefault(label, names) is not names:
+            raise KolmorepError(f"contexts {labelled[label]} and {names} share the point label {label!r}")
         local = context_space(context, suite)
         kappa = dist.weights[context]
         full_ids = {pid: f"{label}|{pid}" for pid in local.points}

@@ -216,7 +216,7 @@ def cmd_orsay(args):
         out["naked"] = vector_to_json(orsay_mod.naked_vector(cfg))
         effective = orsay_mod.effective_vector(cfg)
         out["effective"] = vector_to_json(effective.vector)
-        out["effective"]["events"] = [effective.label(i) for i in range(1, 9)]
+        out["effective"]["events"] = [effective.label(i) for i in range(1, 2 * len(effective.names) + 1)]
     if args.emit in ("tables", "all"):
         tab = orsay_mod.tables(cfg)
         out["contexts"] = [{"label": t.label, "cells": _cells(t.cells)} for t in tab.context_tables]

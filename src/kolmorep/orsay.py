@@ -6,7 +6,8 @@ changes nothing, the singlet is rotation invariant). Two independent
 switches pick one direction per side, so exactly the four cross-side
 contexts {A,B}, {A,B'}, {A',B}, {A',B'} can occur. The default geometry
 separates a, a', b' pairwise by 120 degrees with b parallel to a', and
-weights the four contexts uniformly.
+weights the four contexts uniformly. A config builds its suite and switch
+distribution once; the views read outcomes through the spaces' events.
 
 Polarization-style variants, where analyzers respond to angle-doubled Bloch
 vectors, are reachable only by doubling the configured angles by hand;
@@ -15,10 +16,10 @@ nothing here does that automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import radians
+from math import isfinite, radians
 
 from .censorship import (
     CensoredSpace,
@@ -33,8 +34,8 @@ from .censorship import (
     validate_distribution,
 )
 from .ch import ch_scheme
-from .errors import InvalidDistribution, KolmorepError
-from .polytope import ConjunctionScheme, CorrelationVector
+from .errors import InvalidDirection, InvalidDistribution, KolmorepError
+from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace
 from .quantum import born  # noqa: F401  (unused here; perfbench's tracer test reads orsay.born)
 from .quantum import direction, identity, singlet_density, spin_projector_up, tensor
 from .rational import DEFAULT_POLICY, RationalizationPolicy, parse_rational
@@ -43,10 +44,7 @@ MEASUREMENT_NAMES = ("A", "A'", "B", "B'")
 SWITCH_NAMES = ("a", "a'", "b", "b'")
 CONTEXTS = (frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4}))
 DEFAULT_ANGLES_DEG = (120.0, 0.0, 0.0, 240.0)
-
-
-def _quarter() -> tuple:
-    return (Fraction(1, 4),) * 4
+UNIFORM_WEIGHTS = (Fraction(1, 4),) * 4
 
 
 @dataclass(frozen=True)
@@ -55,26 +53,29 @@ class OrsayConfig:
 
     Weights follow the context order (a,b), (a,b'), (a',b), (a',b'). Every
     view of one config reads its one ``suite``, whose moments are
-    rationalized under `policy`.
+    rationalized under `policy`, and its one ``distribution``.
     """
 
     angles: tuple = tuple(radians(x) for x in DEFAULT_ANGLES_DEG)
-    weights: tuple = field(default_factory=_quarter)
+    weights: tuple = UNIFORM_WEIGHTS
     policy: RationalizationPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         if len(self.angles) != 4:
             raise KolmorepError("need exactly four angles: a, a', b, b'")
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights):
-            raise InvalidDistribution("need four non-negative context weights")
-        if sum(self.weights, Fraction(0)) != 1:
+        for name, angle in zip(SWITCH_NAMES, self.angles):
+            if not isfinite(angle):
+                raise InvalidDirection(f"angle {name} must be finite, got {angle}")
+        if len(self.weights) != 4 or not all(0 <= w <= 1 for w in self.weights):
+            raise InvalidDistribution("need four context weights in [0, 1]")
+        if sum(map(Fraction, self.weights)) != 1:  # at their exact values, as validate_distribution reads them
             raise InvalidDistribution("context weights must sum to one")
 
     @staticmethod
     def from_degrees(angles_deg, weights=None, policy: RationalizationPolicy = DEFAULT_POLICY) -> "OrsayConfig":
         """A config from angles in degrees; each weight is read like a JSON value, floats under `policy`."""
         angles = tuple(radians(float(x)) for x in angles_deg)
-        weights = _quarter() if weights is None else tuple(parse_rational(w, policy) for w in weights)
+        weights = UNIFORM_WEIGHTS if weights is None else tuple(parse_rational(w, policy) for w in weights)
         return OrsayConfig(angles, weights, policy)
 
     @cached_property
@@ -82,23 +83,18 @@ class OrsayConfig:
         """The config's suite, built once and shared by every view."""
         return build_suite(self)
 
+    @cached_property
+    def distribution(self) -> SetupDistribution:
+        """The weights on ``CONTEXTS``, validated against the suite once and shared by every view."""
+        return validate_distribution(dict(zip(CONTEXTS, self.weights)), compute_compatibility(self.suite))
+
 
 def build_suite(cfg: OrsayConfig) -> MeasurementSuite:
-    """Four projectors on the two-spin space, singlet state shared; moments rationalized under `cfg.policy`."""
+    """``MEASUREMENT_NAMES`` in the singlet, A and A' on the left spin; moments rationalized under `cfg.policy`."""
     eye = identity(2)
-    a, a2, b, b2 = (spin_projector_up(direction(t)) for t in cfg.angles)
-    measurements = [
-        ("A", tensor(a, eye)),
-        ("A'", tensor(a2, eye)),
-        ("B", tensor(eye, b)),
-        ("B'", tensor(eye, b2)),
-    ]
-    return MeasurementSuite.make(singlet_density(), measurements, cfg.policy)
-
-
-def switch_distribution(cfg: OrsayConfig, suite: MeasurementSuite) -> SetupDistribution:
-    structure = compute_compatibility(suite)
-    return validate_distribution(dict(zip(CONTEXTS, cfg.weights)), structure)
+    ups = [spin_projector_up(direction(t)) for t in cfg.angles]
+    projectors = [tensor(p, eye) for p in ups[:2]] + [tensor(eye, p) for p in ups[2:]]
+    return MeasurementSuite(singlet_density(), MEASUREMENT_NAMES, tuple(projectors), cfg.policy)
 
 
 def naked_vector(cfg: OrsayConfig) -> CorrelationVector:
@@ -114,17 +110,14 @@ def naked_vector(cfg: OrsayConfig) -> CorrelationVector:
 
 def effective_pair_vector(cfg: OrsayConfig) -> CorrelationVector:
     """Observed counterpart of the naked vector on the same cross-pair scheme."""
-    suite = cfg.suite
-    dist = switch_distribution(cfg, suite)
-    scheme = ch_scheme()
+    suite, dist, scheme = cfg.suite, cfg.distribution, ch_scheme()
     return CorrelationVector(scheme, {s: effective_probability(suite, dist, s, ()) for s in scheme.sets})
 
 
 def _pair_scheme() -> ConjunctionScheme:
-    """Singletons and all pairs over the eight outcome/switch events."""
-    sets = [{i} for i in range(1, 9)]
-    sets += [{i, j} for i in range(1, 9) for j in range(i + 1, 9)]
-    return ConjunctionScheme.make(8, sets)
+    """Singletons and all pairs over the outcome events, then the switch events, of ``MEASUREMENT_NAMES``."""
+    events = range(1, 2 * len(MEASUREMENT_NAMES) + 1)
+    return ConjunctionScheme.make(len(events), ({i, j} for i in events for j in events if i <= j))
 
 
 def effective_vector(cfg: OrsayConfig) -> EffectiveVector:
@@ -133,9 +126,7 @@ def effective_vector(cfg: OrsayConfig) -> EffectiveVector:
     Indices 1..4 are the detector outcomes in that order, 5..8 the matching
     switch selections.
     """
-    suite = cfg.suite
-    dist = switch_distribution(cfg, suite)
-    return assemble_effective_vector(suite, dist, _pair_scheme())
+    return assemble_effective_vector(cfg.suite, cfg.distribution, _pair_scheme())
 
 
 @dataclass(frozen=True)
@@ -153,34 +144,34 @@ class OrsayTables:
     censored: CensoredSpace
 
 
-def tables(cfg: OrsayConfig) -> OrsayTables:
-    """Per-context 2x2 outcome tables plus the 16-cell censored-space table.
+def _grid(space: KolmogorovSpace, rows: list, cols: list) -> dict:
+    """Mass where each row outcome meets each column outcome, keyed (row, col) in row-major order.
 
-    The big table arranges the disjoint-union atoms on a grid: rows by the
-    left-side outcome (A, !A, A', !A'), columns by the right-side outcome
-    (B, !B, B', !B'); each cell is the mass of the atom of the matching
-    context with the matching outcome bits, or 0 if that context has no weight.
+    A side lists (name, hit, ran) per measurement: outcome `name` is the event `hit`, '!name' the rest of `ran`.
+    """
+    rows, cols = ([o for x, hit, ran in side for o in ((x, hit), (f"!{x}", ran - hit))] for side in (rows, cols))
+    return {(r, c): sum((space.mass[p] for p in rp & cp), Fraction(0)) for r, rp in rows for c, cp in cols}
+
+
+def tables(cfg: OrsayConfig) -> OrsayTables:
+    """Per-context 2x2 outcome tables, labelled by their switches, plus the 16-cell censored-space table.
+
+    The big table crosses the left outcomes (A, !A, A', !A') with the right
+    ones (B, !B, B', !B'), each inside its switch event, so a cell holds the
+    matching point of one context, or 0 if that context has no weight.
     """
     suite = cfg.suite
-    dist = switch_distribution(cfg, suite)
-
     context_tables = []
-    for context, (ln, rn) in zip(CONTEXTS, (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))):
+    for context in CONTEXTS:
         local = context_space(context, suite)
-        cells = {
-            (ln if pid[0] == "1" else f"!{ln}", rn if pid[1] == "1" else f"!{rn}"): local.mass[pid]
-            for pid in ("11", "10", "01", "00")
-        }
-        label = f"{SWITCH_NAMES[suite.index(ln) - 1]} & {SWITCH_NAMES[suite.index(rn) - 1]}"
-        context_tables.append(ContextTable(label, cells))
+        left, right = ([(name, hits, frozenset(local.points))] for name, hits in local.events.items())
+        label = " & ".join(SWITCH_NAMES[i - 1] for i in sorted(context))
+        context_tables.append(ContextTable(label, _grid(local, left, right)))
 
-    censored = build_censored_space(suite, dist)
-    cells = {}
-    for row in ("A", "!A", "A'", "!A'"):
-        left = row.lstrip("!")
-        for col in ("B", "!B", "B'", "!B'"):
-            right = col.lstrip("!")
-            # A zero-weight context contributes no points.
-            pid = f"{left},{right}|{int(row == left)}{int(col == right)}"
-            cells[(row, col)] = censored.space.mass.get(pid, Fraction(0))
-    return OrsayTables(tuple(context_tables), cells, censored)
+    censored = build_censored_space(suite, cfg.distribution)
+    events = censored.space.events
+    left, right = (
+        [(x, events[censored.outcome_events[x]], events[censored.switch_events[x]]) for x in names]
+        for names in (suite.names[:2], suite.names[2:])
+    )
+    return OrsayTables(tuple(context_tables), _grid(censored.space, left, right), censored)

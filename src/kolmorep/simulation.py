@@ -97,9 +97,9 @@ def run(suite: MeasurementSuite, dist: SetupDistribution, trials: int, seed: int
     points = []
     outcome = np.zeros(trials, dtype=np.int64)
     for k, context in enumerate(contexts):
-        names.append(tuple(suite.name_of(i) for i in sorted(context)))
         local = context_space(context, suite)
-        points.append(tuple(tuple(int(ch) for ch in p) for p in local.points))
+        names.append(tuple(local.events))
+        points.append(tuple(tuple(int(p in hits) for hits in local.events.values()) for p in local.points))
         hits = np.flatnonzero(chosen == k)
         if hits.size:
             outcome[hits] = _integer_sampler(rng, [local.mass[p] for p in local.points], hits.size)

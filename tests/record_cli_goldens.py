@@ -28,10 +28,8 @@ from kolmorep.ch import ch_scheme
 from kolmorep.cli import main
 from kolmorep.orsay import (
     OrsayConfig,
-    build_suite,
     effective_pair_vector,
     naked_vector,
-    switch_distribution,
 )
 from kolmorep.polytope import vertex
 from kolmorep.serialize import distribution_to_json, suite_to_json, vector_to_json
@@ -42,8 +40,8 @@ GOLDENS = Path(__file__).with_name("cli_goldens.json")
 def write_inputs(root) -> None:
     """Input files of the corpus, written into `root`."""
     cfg = OrsayConfig()
-    suite = build_suite(cfg)
-    dist = switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     bad_suite = suite_to_json(suite)
     bad_suite["measurements"][0]["projector"]["entries"][0][0] = [0.3, 0.0]
     files = {

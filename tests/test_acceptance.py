@@ -27,11 +27,9 @@ from kolmorep import (
 )
 from kolmorep.orsay import (
     OrsayConfig,
-    build_suite,
     effective_pair_vector,
     effective_vector,
     naked_vector,
-    switch_distribution,
     tables,
 )
 from kolmorep.simulation import estimate, run
@@ -157,8 +155,8 @@ def test_criterion_06_censored_table_and_verification():
     cfg = OrsayConfig()
     tab = tables(cfg)
     cells_ok = tab.censored_cells == TABLE2
-    suite = build_suite(cfg)
-    dist = switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     report = verify_censorship(tab.censored, suite, dist, max_order=2 * suite.n)
     _line(6, cells_ok and report.ok and report.checked == 256,
           "censored-space cells exact and full-order verification clean "
@@ -305,8 +303,8 @@ SIM_QUERIES = [
 
 def test_criterion_11_simulation_matches_effective_probabilities():
     cfg = OrsayConfig()
-    suite = build_suite(cfg)
-    dist = switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     n = 100_000
     records = run(suite, dist, n, seed=2718)
     worst = 0.0

@@ -57,8 +57,8 @@ GENERIC_ANGLES = [(37, 0, 0, 200), (45, 0, 10, 100), (33, 71, 12, 250)]
 @pytest.fixture(scope="module")
 def orsay_setup():
     cfg = orsay.OrsayConfig()
-    suite = orsay.build_suite(cfg)
-    dist = orsay.switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     return suite, dist
 
 
@@ -291,8 +291,8 @@ def test_moment_is_computed_once_per_set(monkeypatch):
 def test_censor_pipeline_calls_born_once_per_compatible_set(monkeypatch):
     calls = count_born_calls(monkeypatch)
     cfg = orsay.OrsayConfig()
-    suite = orsay.build_suite(cfg)
-    dist = orsay.switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     censored = build_censored_space(suite, dist)
     report = verify_censorship(censored, suite, dist, max_order=2 * suite.n)
     assert report.ok and report.checked == 256
@@ -385,8 +385,8 @@ COARSE = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
 
 def test_a_suite_built_under_a_coarse_policy_is_consistent_end_to_end(monkeypatch):
     cfg = orsay.OrsayConfig.from_degrees((37, 0, 0, 200), policy=COARSE)
-    suite = orsay.build_suite(cfg)
-    dist = orsay.switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
 
     def coarse_moment(index_set):
         return rationalize(max(born(suite.density, [suite.proj(i) for i in sorted(index_set)]), 0.0), COARSE)
@@ -552,6 +552,29 @@ def test_names_that_collide_with_switch_event_keys_are_rejected():
     assert type(info.value) is KolmorepError
 
 
+def test_contexts_whose_joined_names_coincide_are_rejected():
+    w = Operator(np.diag([0.5, 0.5]), tags=("density",))
+    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
+    suite = MeasurementSuite.make(w, [("A,B", p), ("C", p), ("A", p), ("B,C", p)])
+    structure = compute_compatibility(suite)
+    dist = validate_distribution({frozenset({1, 2}): F(1, 2), frozenset({3, 4}): F(1, 2)}, structure)
+    message = r"^contexts \['A,B', 'C'\] and \['A', 'B,C'\] share the point label 'A,B,C'$"
+    with pytest.raises(KolmorepError, match=message) as info:
+        build_censored_space(suite, dist)
+    assert type(info.value) is KolmorepError
+
+
+def test_a_non_commuting_moment_below_tolerance_is_a_numerical_failure():
+    psi = np.array([1.0, -2.0]) / np.sqrt(5)
+    w = Operator(np.outer(psi, psi), tags=("density",))
+    p = Operator(np.diag([1.0, 0.0]), tags=("projector",))  # |0><0|
+    q = Operator(np.full((2, 2), 0.5), tags=("projector",))  # |+><+|
+    suite = MeasurementSuite.make(w, [("P", p), ("Q", q)])
+    with pytest.raises(NumericalFailure, match=r"^trace value (\S+) is negative beyond tolerance$") as info:
+        suite.moment({1, 2})
+    assert float(str(info.value).split()[2]) == pytest.approx(-0.1)
+
+
 def test_verify_censorship_rejects_a_space_without_an_event_key(orsay_setup):
     suite, dist = orsay_setup
     censored = build_censored_space(suite, dist)
@@ -620,8 +643,8 @@ def assert_entries_match_effective_probability(suite, dist, scheme):
 @pytest.mark.parametrize("angles", [orsay.DEFAULT_ANGLES_DEG, (0.0, 60.0, 120.0, 180.0)])
 def test_assembled_entries_equal_effective_probability_orsay(angles):
     cfg = orsay.OrsayConfig.from_degrees(angles)
-    suite = orsay.build_suite(cfg)
-    dist = orsay.switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     assert_entries_match_effective_probability(suite, dist, pairs_and_singletons(8))
 
 
@@ -698,8 +721,7 @@ def random_cases():
 
 def orsay_case(angles):
     cfg = orsay.OrsayConfig.from_degrees(angles)
-    suite = orsay.build_suite(cfg)
-    return suite, orsay.switch_distribution(cfg, suite)
+    return cfg.suite, cfg.distribution
 
 
 def test_verify_equals_reference_on_random_suites():

@@ -12,11 +12,9 @@ from kolmorep.censorship import VerificationMismatch, VerificationReport
 from kolmorep.cli import build_parser, main
 from kolmorep.orsay import (
     OrsayConfig,
-    build_suite,
     effective_pair_vector,
     effective_vector,
     naked_vector,
-    switch_distribution,
     tables,
 )
 from kolmorep.polytope import vertex
@@ -41,8 +39,8 @@ F = Fraction
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = OrsayConfig()
-    suite = build_suite(cfg)
-    dist = switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
 
     paths = {}
 
@@ -199,9 +197,9 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
         assert sum(F(v) for v in cells.values()) == 1
 
     cfg = OrsayConfig.from_degrees(angles.split(","))
-    suite = build_suite(cfg)
+    suite = cfg.suite
     (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
-    dist = switch_distribution(cfg, suite)
+    dist = cfg.distribution
     (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, dist.weights)))
     assert main([
         "--format", "json", "censor", "--suite", str(tmp_path / "suite.json"),
@@ -214,8 +212,8 @@ def test_orsay_tables_and_censor_verify_at_generic_angles(angles, capsys, tmp_pa
 def test_censor_and_simulate_build_the_suite_under_the_run_policy(capsys, tmp_path):
     coarse = RationalizationPolicy(tolerance=1e-3, max_denominator=100)
     cfg = OrsayConfig.from_degrees((37, 0, 0, 200), policy=coarse)
-    suite = build_suite(cfg)
-    dist = switch_distribution(cfg, suite)
+    suite = cfg.suite
+    dist = cfg.distribution
     (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
     (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, dist.weights)))
     setup = ["--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json")]
@@ -441,6 +439,20 @@ def test_measurement_names_that_collide_with_switch_events_are_exit_1(tmp_path, 
     assert captured.err == "error: measurement names collide with switch event keys\n"
 
 
+def test_contexts_whose_joined_names_coincide_are_exit_1(tmp_path, capsys):
+    w = {"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+    p = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    names = ["A,B", "C", "A", "B,C"]
+    suite = {"dim": 2, "density": w, "measurements": [{"name": name, "projector": p} for name in names]}
+    dist = {"contexts": [{"members": ["A,B", "C"], "weight": "1/2"}, {"members": ["A", "B,C"], "weight": "1/2"}]}
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    (tmp_path / "dist.json").write_text(json.dumps(dist))
+    assert main(["censor", "--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contexts ['A,B', 'C'] and ['A', 'B,C'] share the point label 'A,B,C'\n"
+
+
 def test_a_weights_file_with_an_assignment_twice_is_exit_1(tmp_path, capsys):
     payload = {"n": 2, "weights": [{"eps": [1, 0], "p": "1/2"}, {"eps": [1, 0], "p": "1/2"}]}
     (tmp_path / "weights.json").write_text(json.dumps(payload))
@@ -460,7 +472,7 @@ def test_a_non_finite_orsay_angle_is_exit_1(angle, capsys):
     assert main(["orsay", "--angles", f"120,{angle},0,240"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: direction angle theta must be finite, got {angle}\n"
+    assert captured.err == f"error: angle a' must be finite, got {angle}\n"
 
 
 def _run(argv, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from kolmorep import (
     Inside,
+    InvalidDirection,
     InvalidDistribution,
     KolmorepError,
     NumericalFailure,
@@ -21,7 +22,6 @@ from kolmorep.orsay import (
     effective_pair_vector,
     effective_vector,
     naked_vector,
-    switch_distribution,
     tables,
 )
 
@@ -134,6 +134,27 @@ def test_config_validation():
         OrsayConfig(weights=(F(3, 2), F(-1, 2), F(0), F(0)))
 
 
+def test_weights_are_checked_at_their_exact_values():
+    assert OrsayConfig(weights=(0.25,) * 4).distribution.weights == dict.fromkeys(orsay.CONTEXTS, F(1, 4))
+    with pytest.raises(InvalidDistribution, match="^context weights must sum to one$"):
+        OrsayConfig(weights=(0.1, 0.2, 0.3, 0.4))  # binary floats: their exact sum is not 1
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), F(3, 2), -0.25])
+def test_a_weight_outside_the_unit_interval_is_rejected(weight):
+    with pytest.raises(InvalidDistribution, match=r"^need four context weights in \[0, 1\]$"):
+        OrsayConfig(weights=(weight, F(1, 4), F(1, 4), F(1, 2)))
+
+
+@pytest.mark.parametrize("position, angle", [(0, float("inf")), (1, float("-inf")), (2, float("nan")), (3, float("inf"))])
+def test_a_non_finite_angle_is_named_by_its_direction(monkeypatch, position, angle):
+    monkeypatch.setattr(orsay, "build_suite", None)  # no suite is built
+    angles = [0.0] * 4
+    angles[position] = angle
+    with pytest.raises(InvalidDirection, match=f"^angle {orsay.SWITCH_NAMES[position]} must be finite, got {angle}$"):
+        OrsayConfig(angles=tuple(angles))
+
+
 TENTHS = OrsayConfig(weights=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
 
 
@@ -143,6 +164,14 @@ TENTHS = OrsayConfig(weights=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
 ])
 def test_from_degrees_reads_weights_as_the_cli_does(weights):
     assert OrsayConfig.from_degrees(DEFAULT_ANGLES_DEG, weights) == TENTHS
+
+
+def _spy_on_validation(monkeypatch) -> list:
+    """The argument tuples of every ``validate_distribution`` call that orsay makes from now on."""
+    validated = []
+    real_validate = orsay.validate_distribution
+    monkeypatch.setattr(orsay, "validate_distribution", lambda *args: validated.append(args) or real_validate(*args))
+    return validated
 
 
 @pytest.mark.parametrize("text", ["0.1,0.2,0.3,0.4", "1/10,1/5,3/10,2/5", " 0.1, 1/5,0.3 ,2/5"])
@@ -155,8 +184,10 @@ def test_the_cli_builds_the_library_config_from_its_weights(monkeypatch, capsys,
         return real_build_suite(cfg)
 
     monkeypatch.setattr(orsay, "build_suite", spy)
+    validated = _spy_on_validation(monkeypatch)
     assert main(["orsay", "--emit", "all", "--weights", text]) == 0
-    assert built == [TENTHS]  # one suite for all three views
+    assert built == [TENTHS]  # one suite and one distribution for all three views
+    assert len(validated) == 1
     capsys.readouterr()
 
 
@@ -169,15 +200,16 @@ def test_every_view_reads_the_configs_one_suite(monkeypatch):
     built = []
     real_build_suite = orsay.build_suite
     monkeypatch.setattr(orsay, "build_suite", lambda cfg: built.append(cfg) or real_build_suite(cfg))
+    validated = _spy_on_validation(monkeypatch)
     cfg = OrsayConfig()
     for view in (naked_vector, effective_pair_vector, effective_vector, tables):
         view(cfg)
     assert built == [cfg] and cfg.suite is cfg.suite
+    assert len(validated) == 1 and cfg.distribution is cfg.distribution
 
 
 def test_suite_shape():
     suite = build_suite(OrsayConfig())
     assert suite.dim == 4
     assert suite.names == ("A", "A'", "B", "B'")
-    dist = switch_distribution(OrsayConfig(), suite)
-    assert len(dist.support) == 4
+    assert len(OrsayConfig().distribution.support) == 4

@@ -52,6 +52,38 @@ def reproduces(weights, p):
     return True
 
 
+# --- schemes and vectors -------------------------------------------------------
+
+@pytest.mark.parametrize("n, sets, message", [
+    (0, frozenset(), "^scheme needs at least one event$"),
+    (2, frozenset({frozenset()}), "^scheme members must be non-empty index sets$"),
+    (2, frozenset({(1, 2)}), "^scheme members must be non-empty index sets$"),
+])
+def test_a_malformed_scheme_is_a_scheme_mismatch(n, sets, message):
+    with pytest.raises(SchemeMismatch, match=message):
+        ConjunctionScheme(n, sets)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({frozenset({1}): F(1, 2)}, "^vector values must cover the scheme's sets exactly$"),
+    ({frozenset({1}): F(1, 2), frozenset({2}): 0.5}, "^vector values must be Fractions$"),
+])
+def test_a_vector_off_its_scheme_is_a_scheme_mismatch(values, message):
+    with pytest.raises(SchemeMismatch, match=message):
+        CorrelationVector(ConjunctionScheme.singletons(2), values)
+
+
+def test_a_vector_lookup_outside_its_scheme_is_a_scheme_mismatch():
+    v = CorrelationVector(ConjunctionScheme.singletons(2), {frozenset({1}): F(1, 2), frozenset({2}): F(1, 3)})
+    with pytest.raises(SchemeMismatch, match=r"^\[1, 2\] is not part of the scheme$"):
+        v[{1, 2}]
+
+
+def test_a_row_mask_outside_the_assignments_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^row mask outside \{0,1\}\^n$"):
+        solve_zero_one_feasibility(2, [(4, 1)])
+
+
 # --- vertices ----------------------------------------------------------------
 
 def test_vertex_all_ones_and_zeros():

@@ -14,7 +14,7 @@ from kolmorep import (
     parse_rational,
     rationalize,
 )
-from kolmorep.orsay import OrsayConfig, build_suite, naked_vector, switch_distribution
+from kolmorep.orsay import OrsayConfig, build_suite, naked_vector
 from kolmorep.polytope import KolmogorovSpace
 from kolmorep.quantum import singlet_density
 from kolmorep.serialize import (
@@ -63,6 +63,11 @@ def test_rationalize_respects_tolerance():
     assert rationalize(0.1, RationalizationPolicy(max_denominator=10)) == F(1, 10)
     with pytest.raises(NumericalFailure):
         rationalize(float("nan"))
+
+
+def test_a_policy_without_denominators_is_a_value_error():
+    with pytest.raises(ValueError, match="^max denominator must be at least 1$"):
+        RationalizationPolicy(max_denominator=0)
 
 
 def test_strict_policy_accepts_only_binary_decimal_floats():
@@ -243,7 +248,7 @@ def test_a_query_that_is_not_an_object_is_a_schema_error():
 
 def test_distribution_round_trip_by_names():
     suite = build_suite(OrsayConfig())
-    dist = switch_distribution(OrsayConfig(), suite)
+    dist = OrsayConfig().distribution
     payload = distribution_to_json(suite, dist.weights)
     raw = distribution_from_json(payload, suite)
     assert raw == dict(dist.weights)
@@ -280,7 +285,7 @@ def test_space_event_members_must_be_a_list_of_point_ids(members):
 def test_censored_space_json_carries_event_maps():
     cfg = OrsayConfig()
     suite = build_suite(cfg)
-    censored = build_censored_space(suite, switch_distribution(cfg, suite))
+    censored = build_censored_space(suite, cfg.distribution)
     payload = censored_space_to_json(censored)
     assert payload["outcome_events"]["A"] == "A"
     assert payload["switch_events"]["A"] == "performed:A"

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from kolmorep import TooLarge, effective_probability, validate_distribution, compute_compatibility
-from kolmorep.orsay import OrsayConfig, build_suite, switch_distribution
+from kolmorep.orsay import OrsayConfig
 from kolmorep.simulation import estimate, run
 
 F = Fraction
@@ -13,8 +13,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def orsay_setup():
     cfg = OrsayConfig()
-    suite = build_suite(cfg)
-    return suite, switch_distribution(cfg, suite)
+    return cfg.suite, cfg.distribution
 
 
 def test_same_seed_same_stream(orsay_setup):

@@ -10,7 +10,7 @@ import pytest
 import reference_simulation as reference
 from helpers import random_censorship_case
 from kolmorep import MeasurementSuite, Operator, compute_compatibility, validate_distribution
-from kolmorep.orsay import OrsayConfig, build_suite, switch_distribution
+from kolmorep.orsay import OrsayConfig
 from kolmorep.serialize import estimates_to_json, records_to_csv, records_to_json
 from kolmorep.simulation import Trials, estimate, run
 
@@ -20,8 +20,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def orsay_setup():
     cfg = OrsayConfig()
-    suite = build_suite(cfg)
-    return suite, switch_distribution(cfg, suite)
+    return cfg.suite, cfg.distribution
 
 
 def queries_for(suite):
