@@ -56,10 +56,8 @@ from .quantum import (
     born,
     commutes,
     complement,
-    density,
     direction,
     identity,
-    projector,
     singlet_density,
     spin_projector_up,
     tensor,

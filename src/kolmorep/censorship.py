@@ -53,7 +53,7 @@ from .errors import (
 )
 from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, _bits, _mask
 from .quantum import Operator, born, commutes
-from .rational import DEFAULT_POLICY, RationalizationPolicy, rationalize, scaled
+from .rational import DEFAULT_POLICY, RationalizationPolicy, exact_number, rationalize, scaled
 from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
@@ -212,7 +212,7 @@ def validate_distribution(
     for key, w in weights.items():
         j = frozenset(key)
         if not isinstance(w, Fraction):
-            w = Fraction(w)
+            w = exact_number(w, f"weight on context {sorted(j)}")
         if w < 0:
             raise InvalidDistribution(f"negative weight {w} on context {sorted(j)}")
         if j in cleaned:

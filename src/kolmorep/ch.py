@@ -3,32 +3,58 @@
 For four events where only the cross pairs {1,3}, {1,4}, {2,3}, {2,4} carry
 joint values, membership in the classical polytope is equivalent to the
 Clauser-Horne system: the trivial range and monotonicity bounds per measured
-pair, and four Bell-type bounds between -1 and 0. All four Bell lines are
-evaluated even though they are index permutations of one another.
+pair, and four Bell-type bounds between -1 and 0. The system is one table of
+rows, each with integer coefficients on the scheme's sets; the four Bell rows
+are the images of one Bell line under the side swaps, all evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import SchemeMismatch
 from .polytope import ConjunctionScheme, CorrelationVector
+from .rational import scaled
 
 CROSS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
+_SETS = tuple((i,) for i in range(1, 5)) + CROSS_PAIRS  # the order of every row's coefficients
 
-BELL_EXPRESSIONS = (
-    ("p13 + p14 + p24 - p23 - p1 - p4", ((1, 3), (1, 4), (2, 4)), (2, 3), (1, 4)),
-    ("p23 + p24 + p14 - p13 - p2 - p4", ((2, 3), (2, 4), (1, 4)), (1, 3), (2, 4)),
-    ("p14 + p13 + p23 - p24 - p1 - p3", ((1, 4), (1, 3), (2, 3)), (2, 4), (1, 3)),
-    ("p24 + p23 + p13 - p14 - p2 - p3", ((2, 4), (2, 3), (1, 3)), (1, 4), (2, 3)),
-)
+# The first Bell line as signed terms, p13 + p14 + p24 - p23 - p1 - p4. The four Bell rows are its
+# images under the side swaps: none, 1<->2, 3<->4 and both.
+_BELL = (((1, 3), 1), ((1, 4), 1), ((2, 4), 1), ((2, 3), -1), ((1,), -1), ((4,), -1))
+_SIDE_SWAPS = ({}, {1: 2, 2: 1}, {3: 4, 4: 3}, {1: 2, 2: 1, 3: 4, 4: 3})
 
 
+@cache
+def _rows() -> tuple:
+    """The system's rows (label, integer coefficients on ``_SETS``, lower, upper) in report order, built once."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = []
+    for i, j in CROSS_PAIRS:
+        ij = f"p{i}{j}"
+        rows += [
+            (f"{ij} >= 0", {(i, j): 1}, zero, None),
+            (f"{ij} <= p{i}", {(i,): 1, (i, j): -1}, zero, None),
+            (f"{ij} <= p{j}", {(j,): 1, (i, j): -1}, zero, None),
+            (f"p{i} <= 1", {(i,): 1}, None, one),
+            (f"p{j} <= 1", {(j,): 1}, None, one),
+            (f"p{i} + p{j} - {ij} <= 1", {(i,): 1, (j,): 1, (i, j): -1}, None, one),
+        ]
+    for k, swap in enumerate(_SIDE_SWAPS, start=1):
+        terms = [(tuple(swap.get(i, i) for i in s), c) for s, c in _BELL]
+        expr = " ".join(f"{'+' if c > 0 else '-'} p{''.join(map(str, s))}" for s, c in terms).removeprefix("+ ")
+        rows.append((f"bell{k}: -1 <= {expr} <= 0", dict(terms), -one, zero))
+    # A row repeats whole (p1 <= 1 comes with two pairs) and keeps its first place.
+    return tuple(dict.fromkeys((label, tuple(t.get(s, 0) for s in _SETS), lo, up) for label, t, lo, up in rows))
+
+
+@cache
 def ch_scheme() -> ConjunctionScheme:
-    """The fixed scheme: four singletons plus the four cross pairs."""
-    return ConjunctionScheme.make(4, [{1}, {2}, {3}, {4}] + [set(p) for p in CROSS_PAIRS])
+    """The fixed scheme: four singletons plus the four cross pairs, built once."""
+    return ConjunctionScheme.make(4, _SETS)
 
 
 @dataclass(frozen=True)
@@ -59,44 +85,17 @@ class ChReport:
         return tuple(r for r in self.inequalities if not r.satisfied)
 
 
-def _record(label: str, value: Fraction, lower, upper) -> ChInequality:
-    # Bounds have lower <= upper, so at most one margin is negative: the smaller
-    # margin is the slack when satisfied and minus the violation when not.
-    margins = [value - lower] if lower is not None else []
-    margins += [upper - value] if upper is not None else []
-    slack = min(margins)
-    return ChInequality(label, value, lower, upper, slack >= 0, slack)
-
-
 def ch_evaluate(p: CorrelationVector) -> ChReport:
-    """Evaluate every inequality of the system with exact slacks."""
+    """Evaluate every row of the system with exact slacks, on integer numerators over one denominator."""
     if p.scheme != ch_scheme():
-        raise SchemeMismatch(
-            "expected the 4-event scheme with singletons and cross pairs {1,3},{1,4},{2,3},{2,4}"
-        )
-    single = {i: p[{i}] for i in range(1, 5)}
-    pair = {ij: p[set(ij)] for ij in CROSS_PAIRS}
-
-    records = {}  # label -> record; a repeated label keeps its first record
-
-    def add(label: str, value: Fraction, lower, upper) -> None:
-        if label not in records:
-            records[label] = _record(label, value, lower, upper)
-
-    zero, one = Fraction(0), Fraction(1)
-    for i, j in CROSS_PAIRS:
-        ij = f"p{i}{j}"
-        add(f"{ij} >= 0", pair[(i, j)], zero, None)
-        add(f"{ij} <= p{i}", single[i] - pair[(i, j)], zero, None)
-        add(f"{ij} <= p{j}", single[j] - pair[(i, j)], zero, None)
-        add(f"p{i} <= 1", single[i], None, one)
-        add(f"p{j} <= 1", single[j], None, one)
-        add(f"p{i} + p{j} - {ij} <= 1", single[i] + single[j] - pair[(i, j)], None, one)
-
-    for k, (expr, plus, minus_pair, minus_singles) in enumerate(BELL_EXPRESSIONS, start=1):
-        value = sum((pair[ij] for ij in plus), Fraction(0))
-        value -= pair[minus_pair]
-        value -= single[minus_singles[0]] + single[minus_singles[1]]
-        add(f"bell{k}: -1 <= {expr} <= 0", value, -one, zero)
-
-    return ChReport(tuple(records.values()), all(r.satisfied for r in records.values()))
+        raise SchemeMismatch("expected the 4-event scheme with singletons and cross pairs {1,3},{1,4},{2,3},{2,4}")
+    den, nums = scaled([p[s] for s in _SETS])
+    records = []
+    for label, coefficients, lower, upper in _rows():
+        num = sum(c * x for c, x in zip(coefficients, nums))
+        # Whole-number bounds, lower <= upper: the smaller margin is the slack, minus the violation when negative.
+        margins = [num - lower.numerator * den] if lower is not None else []
+        margins += [upper.numerator * den - num] if upper is not None else []
+        slack = min(margins)
+        records.append(ChInequality(label, Fraction(num, den), lower, upper, slack >= 0, Fraction(slack, den)))
+    return ChReport(tuple(records), all(r.satisfied for r in records))

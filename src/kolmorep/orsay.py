@@ -33,7 +33,7 @@ from .censorship import (
     effective_probability,
     validate_distribution,
 )
-from .ch import ch_scheme
+from .ch import CROSS_PAIRS, ch_scheme
 from .errors import InvalidDirection, InvalidDistribution, KolmorepError
 from .polytope import ConjunctionScheme, CorrelationVector, KolmogorovSpace
 from .quantum import born  # noqa: F401  (unused here; perfbench's tracer test reads orsay.born)
@@ -41,8 +41,8 @@ from .quantum import direction, identity, singlet_density, spin_projector_up, te
 from .rational import DEFAULT_POLICY, RationalizationPolicy, parse_rational
 
 MEASUREMENT_NAMES = ("A", "A'", "B", "B'")
-SWITCH_NAMES = ("a", "a'", "b", "b'")
-CONTEXTS = (frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4}))
+SWITCH_NAMES = tuple(name.lower() for name in MEASUREMENT_NAMES)
+CONTEXTS = tuple(map(frozenset, CROSS_PAIRS))
 DEFAULT_ANGLES_DEG = (120.0, 0.0, 0.0, 240.0)
 UNIFORM_WEIGHTS = (Fraction(1, 4),) * 4
 

@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     UnknownEvent,
 )
-from .rational import scaled
+from .rational import exact_number, scaled
 from .simplex import solve_zero_one_feasibility
 
 
@@ -230,7 +230,9 @@ class KolmogorovSpace:
         if frozenset(self.mass.keys()) != pts:
             raise InvalidDistribution("masses must cover the points exactly")
         # Exact checks on integer numerators over the common denominator; a float counts at its exact value.
-        den, numerators = scaled([Fraction(m) if isinstance(m, float) else m for m in self.mass.values()])
+        masses = [m if isinstance(m, Fraction) else exact_number(m, f"mass of point {p!r}")
+                  for p, m in self.mass.items()]
+        den, numerators = scaled(masses)
         if min(numerators, default=0) < 0:
             raise InvalidDistribution("point masses must be non-negative")
         if sum(numerators) != den:
@@ -272,7 +274,7 @@ def representation_from_weights(
         if len(bt) != n or any(b not in (0, 1) for b in bt):
             raise SchemeMismatch(f"weight key {bits!r} is not an n-bit assignment")
         if not isinstance(w, Fraction):
-            w = Fraction(w)
+            w = exact_number(w, f"weight for assignment {bt}")
         if w < 0:
             raise InvalidDistribution("weights must be non-negative")
         if bt in cleaned:

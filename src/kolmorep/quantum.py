@@ -79,24 +79,12 @@ class Operator:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    @property
-    def tags(self) -> frozenset:
-        return self._tags
-
     def has_tag(self, tag: str) -> bool:
         return tag in self._tags
 
     def __repr__(self) -> str:
         tags = f", tags={sorted(self._tags)}" if self._tags else ""
         return f"Operator(dim={self.dim}{tags})"
-
-
-def projector(entries) -> Operator:
-    return Operator(entries, tags=("projector",))
-
-
-def density(entries) -> Operator:
-    return Operator(entries, tags=("density",))
 
 
 def identity(dim: int) -> Operator:

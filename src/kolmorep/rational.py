@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NumericalFailure
+from .errors import InvalidDistribution, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,17 @@ def scaled(values: list) -> tuple:
     """Common denominator of some fractions (or ints) and their numerators over it."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def exact_number(value, what: str) -> Fraction:
+    """A library weight or mass as a Fraction: an int, a Fraction, or a finite float at its exact binary value.
+
+    Floats here are not rationalized: no policy applies to hand-built masses. Anything else, NaN and the
+    infinities included, raises InvalidDistribution naming `what`.
+    """
+    if isinstance(value, (int, Fraction)) or isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    raise InvalidDistribution(f"{what} must be a finite number, got {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

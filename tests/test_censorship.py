@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -229,6 +230,20 @@ def test_validate_distribution_rejects_an_empty_or_out_of_range_context(orsay_se
     message = rf"^context \[{', '.join(map(str, sorted(context)))}\] is not a non-empty subset of 1\.\.4$"
     with pytest.raises(InvalidDistribution, match=message):
         validate_distribution({context: F(1)}, structure)
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), "1/2"])
+def test_validate_distribution_rejects_weights_that_are_not_finite_numbers(orsay_setup, weight):
+    structure = compute_compatibility(orsay_setup[0])
+    message = rf"^weight on context \[1, 3\] must be a finite number, got {re.escape(repr(weight))}$"
+    with pytest.raises(InvalidDistribution, match=message):
+        validate_distribution({frozenset({1, 3}): weight, frozenset({2, 4}): F(1, 2)}, structure)
+
+
+def test_validate_distribution_reads_finite_floats_exactly(orsay_setup):
+    structure = compute_compatibility(orsay_setup[0])
+    dist = validate_distribution({frozenset({1, 3}): 0.75, frozenset({2, 4}): 0.25}, structure)
+    assert dist.weights == {frozenset({1, 3}): F(3, 4), frozenset({2, 4}): F(1, 4)}
 
 
 def test_validate_distribution_rejects_incompatible_mass(orsay_setup):

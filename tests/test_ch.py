@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -59,12 +60,31 @@ def test_zero_vector_satisfied():
     assert all(r.slack >= 0 for r in report.inequalities)
 
 
+def test_every_row_holds_on_every_vertex_and_each_bell_row_is_tight():
+    reports = [ch_evaluate(vertex(bits, ch_scheme())) for bits in itertools.product((0, 1), repeat=4)]
+    assert all(r.satisfied for r in reports)
+    labels = [r.label for r in reports[0].bell()]
+    assert labels == [
+        "bell1: -1 <= p13 + p14 + p24 - p23 - p1 - p4 <= 0",
+        "bell2: -1 <= p23 + p24 + p14 - p13 - p2 - p4 <= 0",
+        "bell3: -1 <= p14 + p13 + p23 - p24 - p1 - p3 <= 0",
+        "bell4: -1 <= p24 + p23 + p13 - p14 - p2 - p3 <= 0",
+    ]
+    for k, label in enumerate(labels):
+        assert any(r.bell()[k].slack == 0 for r in reports), label
+
+
+def test_scheme_is_built_once():
+    assert ch_scheme() is ch_scheme()
+
+
 def test_scheme_mismatch():
     from kolmorep import ConjunctionScheme
 
     wrong = ConjunctionScheme.singletons(4)
     p = CorrelationVector(wrong, {frozenset({i}): F(1, 2) for i in range(1, 5)})
-    with pytest.raises(SchemeMismatch):
+    message = r"^expected the 4-event scheme with singletons and cross pairs \{1,3\},\{1,4\},\{2,3\},\{2,4\}$"
+    with pytest.raises(SchemeMismatch, match=message):
         ch_evaluate(p)
 
 

@@ -280,6 +280,16 @@ def test_censor_verifies_sixteen_measurements(capsys, tmp_path):
     assert verification["checked"] == 4**16 and verification["mismatches"] == []
 
 
+def test_censor_warns_beyond_dim_64_and_still_runs(capsys, tmp_path):
+    suite = random_diagonal_suite(2, dim=65)
+    (tmp_path / "suite.json").write_text(json.dumps(suite_to_json(suite)))
+    (tmp_path / "dist.json").write_text(json.dumps(distribution_to_json(suite, {frozenset({1, 2}): F(1)})))
+    assert main(["censor", "--suite", str(tmp_path / "suite.json"), "--dist", str(tmp_path / "dist.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: dim 65 is beyond the desk scale this tool targets; expect long runs\n"
+    assert "0 mismatches" in captured.out
+
+
 def test_orsay_tables_with_a_zero_weight_context(capsys):
     argv = ["--format", "json", "orsay", "--emit", "tables", "--weights", "1/2,1/4,1/4,0"]
     assert main(argv) == 0

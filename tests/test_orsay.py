@@ -103,6 +103,12 @@ def test_verdicts_flip_between_naked_and_effective():
     assert isinstance(membership(effective), Inside)
 
 
+def test_contexts_and_switch_names_follow_the_cross_pairs_and_measurement_names():
+    assert orsay.CONTEXTS == (frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 4}))
+    assert orsay.SWITCH_NAMES == ("a", "a'", "b", "b'")
+    assert [t.label for t in tables(OrsayConfig()).context_tables] == list(TABLE_CONTEXTS)
+
+
 def test_context_tables():
     tab = tables(OrsayConfig())
     seen = {t.label: t.cells for t in tab.context_tables}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,13 @@ def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     assert not solve_zero_one_feasibility(2, rows).feasible
 
 
+def test_certificate_naming_a_set_outside_the_scheme_is_invalid():
+    scheme = ConjunctionScheme.singletons(2)
+    p = CorrelationVector(scheme, {frozenset({1}): F(3, 2), frozenset({2}): F(0)})
+    assert certificate_is_valid(p, Outside({frozenset({1}): F(1)}, F(-1)))
+    assert not certificate_is_valid(p, Outside({frozenset({1}): F(1), frozenset({1, 2}): F(0)}, F(-1)))
+
+
 def test_range_violations_yield_certificates():
     scheme = ConjunctionScheme.singletons(2)
     high = CorrelationVector(scheme, {frozenset({1}): F(3, 2), frozenset({2}): F(0)})
@@ -245,6 +253,19 @@ def test_space_validation():
         representation_from_weights({(1, 1, 1): F(1)}, scheme)
 
 
+def test_representation_reads_finite_float_weights_exactly():
+    space = representation_from_weights({(1, 0): 0.25, (0, 1): F(3, 4)}, ConjunctionScheme.singletons(2))
+    assert space.mass == {"01": F(3, 4), "10": F(1, 4)}
+    assert all(isinstance(m, Fraction) for m in space.mass.values())
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"), "1/2", None])
+def test_representation_rejects_weights_that_are_not_finite_numbers(weight):
+    message = rf"^weight for assignment \(1, 0\) must be a finite number, got {re.escape(repr(weight))}$"
+    with pytest.raises(InvalidDistribution, match=message):
+        representation_from_weights({(1, 0): weight, (0, 1): F(1, 2)}, ConjunctionScheme.singletons(2))
+
+
 def test_representation_rejects_two_keys_for_one_assignment():
     scheme = ConjunctionScheme.singletons(2)
     with pytest.raises(InvalidDistribution, match=r"^duplicate weight for assignment \(1, 0\)$"):
@@ -255,6 +276,10 @@ def test_representation_rejects_two_keys_for_one_assignment():
     (("x", "x"), {"x": F(1)}, {}, InvalidDistribution, "duplicate point identifiers"),
     (("x", "y"), {"x": F(1)}, {}, InvalidDistribution, "masses must cover the points exactly"),
     (("x",), {"x": F(1)}, {"E": frozenset({"x", "z"})}, UnknownEvent, "event 'E' references unknown points"),
+    (("x",), {"x": float("inf")}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got inf"),
+    (("x",), {"x": float("nan")}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got nan"),
+    (("x",), {"x": "1"}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got '1'"),
+    (("x",), {"x": None}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got None"),
 ])
 def test_kolmogorov_space_validation(points, mass, events, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -185,6 +185,22 @@ def test_complement_partitions_identity():
     assert np.allclose(p.entries + complement(p).entries, np.eye(2), atol=TAU_OP)
 
 
+def test_complement_needs_a_projector_tag():
+    untagged = Operator(spin_projector_up(direction(0.4)).entries)
+    with pytest.raises(KolmorepError, match="^complement is only defined for projectors$"):
+        complement(untagged)
+
+
+@pytest.mark.parametrize("entries, tags, message", [
+    (np.eye(2), ("foo",), "^unknown operator tag 'foo'$"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), ("density",),
+     "^matrix is not a unit-trace positive Hermitian within tolerance$"),
+])
+def test_operator_rejects_unknown_tags_and_non_hermitian_densities(entries, tags, message):
+    with pytest.raises(KolmorepError, match=message):
+        Operator(entries, tags=tags)
+
+
 def test_operator_validation():
     with pytest.raises(KolmorepError):
         Operator(np.array([[0.5, 0.5], [0.0, 0.5]]), tags=("projector",))
