@@ -10,7 +10,6 @@ the effective statistics.
 
 from .censorship import (
     CensoredSpace,
-    CompatibilityStructure,
     EffectiveVector,
     MeasurementSuite,
     SetupDistribution,

@@ -79,6 +79,8 @@ class MeasurementSuite:
         for name, proj in zip(self.names, self.projectors):
             if not name:
                 raise KolmorepError("measurement names must be non-empty")
+            if not isinstance(name, str):
+                raise KolmorepError(f"measurement name {name!r} is not a string")
             if not proj.has_tag("projector"):
                 raise KolmorepError(f"measurement {name!r} needs a validated projector")
         if not self.density.has_tag("density"):
@@ -168,29 +170,10 @@ def _pair(i: int, j: int) -> frozenset:
     return frozenset((i, j))
 
 
-@dataclass(frozen=True)
-class CompatibilityStructure:
-    """The compatibility relation on measurements 1..n, given by its commuting pairs.
-
-    An index set is compatible when it is a non-empty subset of 1..n whose
-    pairs all commute, so singletons are compatible and subsets of compatible
-    sets are too.
-    """
-
-    n: int
-    pairs: frozenset  # frozenset({i, j}) for each commuting pair
-
-    def __contains__(self, index_set) -> bool:
-        s = frozenset(index_set)
-        return (
-            bool(s) and s <= frozenset(range(1, self.n + 1))
-            and all(frozenset(pair) in self.pairs for pair in combinations(s, 2))
-        )
-
-
-def compute_compatibility(suite: MeasurementSuite) -> CompatibilityStructure:
-    """The suite's commuting-pair relation."""
-    return CompatibilityStructure(suite.n, suite.commuting_pairs)
+def compute_compatibility(suite: MeasurementSuite) -> MeasurementSuite:
+    """The suite, its commuting pairs tested here; kept only for ``perfbench``'s calls (ROADMAP item 0)."""
+    suite.commuting_pairs  # noqa: B018  (tests the pairs where the benchmark's tracer times them)
+    return suite
 
 
 @dataclass(frozen=True)
@@ -204,10 +187,8 @@ class SetupDistribution:
         return tuple(sorted((j for j, w in self.weights.items() if w > 0), key=sorted))
 
 
-def validate_distribution(
-    weights: Mapping, structure: CompatibilityStructure
-) -> SetupDistribution:
-    """Check that the weights form a distribution supported on commuting sets."""
+def validate_distribution(weights: Mapping, suite: MeasurementSuite) -> SetupDistribution:
+    """Check that the weights form a distribution supported on sets of the suite's commuting measurements."""
     cleaned = {}
     for key, w in weights.items():
         j = frozenset(key)
@@ -217,9 +198,9 @@ def validate_distribution(
             raise InvalidDistribution(f"negative weight {w} on context {sorted(j)}")
         if j in cleaned:
             raise InvalidDistribution(f"duplicate context {sorted(j)}")
-        if not j or not j <= frozenset(range(1, structure.n + 1)):
-            raise InvalidDistribution(f"context {sorted(j)} is not a non-empty subset of 1..{structure.n}")
-        if w > 0 and j not in structure:
+        if not j or not j <= frozenset(range(1, suite.n + 1)):
+            raise InvalidDistribution(f"context {sorted(j)} is not a non-empty subset of 1..{suite.n}")
+        if w > 0 and not all(_pair(*pair) in suite.commuting_pairs for pair in combinations(j, 2)):
             raise IncompatibleSupport(
                 f"context {sorted(j)} carries weight {w} but its measurements do not commute"
             )

@@ -29,7 +29,6 @@ import sys
 from . import orsay as orsay_mod
 from .censorship import (
     build_censored_space,
-    compute_compatibility,
     validate_distribution,
     verify_censorship,
 )
@@ -79,7 +78,7 @@ def _load_setup(args):
             "expect long runs\n"
         )
     raw = distribution_from_json(_load_json(args.dist), suite)
-    return suite, validate_distribution(raw, compute_compatibility(suite))
+    return suite, validate_distribution(raw, suite)
 
 
 def _fmt_table(rows: list) -> str:

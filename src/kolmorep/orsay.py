@@ -28,7 +28,6 @@ from .censorship import (
     SetupDistribution,
     assemble_effective_vector,
     build_censored_space,
-    compute_compatibility,
     context_space,
     effective_probability,
     validate_distribution,
@@ -66,7 +65,9 @@ class OrsayConfig:
         for name, angle in zip(SWITCH_NAMES, self.angles):
             if not isfinite(angle):
                 raise InvalidDirection(f"angle {name} must be finite, got {angle}")
-        if len(self.weights) != 4 or not all(0 <= w <= 1 for w in self.weights):
+        # Only the numbers validate_distribution reads: int, float and Fraction.
+        in_unit = (isinstance(w, (int, float, Fraction)) and 0 <= w <= 1 for w in self.weights)
+        if len(self.weights) != 4 or not all(in_unit):
             raise InvalidDistribution("need four context weights in [0, 1]")
         if sum(map(Fraction, self.weights)) != 1:  # at their exact values, as validate_distribution reads them
             raise InvalidDistribution("context weights must sum to one")
@@ -86,7 +87,7 @@ class OrsayConfig:
     @cached_property
     def distribution(self) -> SetupDistribution:
         """The weights on ``CONTEXTS``, validated against the suite once and shared by every view."""
-        return validate_distribution(dict(zip(CONTEXTS, self.weights)), compute_compatibility(self.suite))
+        return validate_distribution(dict(zip(CONTEXTS, self.weights)), self.suite)
 
 
 def build_suite(cfg: OrsayConfig) -> MeasurementSuite:

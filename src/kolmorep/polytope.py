@@ -238,6 +238,8 @@ class KolmogorovSpace:
         if sum(numerators) != den:
             raise InvalidDistribution("point masses must sum to one")
         for name, ev in self.events.items():
+            if not isinstance(ev, (set, frozenset)):
+                raise UnknownEvent(f"event {name!r} must be a set of point ids, got {type(ev).__name__}")
             if not ev <= pts:
                 raise UnknownEvent(f"event {name!r} references unknown points")
 
@@ -270,9 +272,9 @@ def representation_from_weights(
     n = scheme.n
     cleaned = {}
     for bits, w in weights.items():
-        bt = tuple(int(b) for b in bits)
-        if len(bt) != n or any(b not in (0, 1) for b in bt):
+        if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise SchemeMismatch(f"weight key {bits!r} is not an n-bit assignment")
+        bt = tuple(int(b) for b in bits)
         if not isinstance(w, Fraction):
             w = exact_number(w, f"weight for assignment {bt}")
         if w < 0:

@@ -57,6 +57,8 @@ class Operator:
             raise KolmorepError(f"operator entries must be a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise KolmorepError("operator entries must be finite")
+        if isinstance(tags, str):
+            raise KolmorepError(f"operator tags must be a collection of tag names, got the string {tags!r}")
         tags = frozenset(tags)
         for tag in tags:
             if tag == "projector":

@@ -16,12 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from kolmorep import MeasurementSuite, Operator
-from kolmorep.censorship import (
-    CompatibilityStructure,
-    SetupDistribution,
-    compute_compatibility,
-    validate_distribution,
-)
+from kolmorep.censorship import SetupDistribution, validate_distribution
 
 # --- exact rational matrices (lists of lists of Fractions) -----------------
 
@@ -142,18 +137,16 @@ def exact_context_mass(dens, projs, comps, members, bits):
     return sum((dens[i][k] * prod[k][i] for i in range(dim) for k in range(dim)), Fraction(0))
 
 
-def random_setup(
-    rng: random.Random, structure: CompatibilityStructure, max_contexts: int = 4
-) -> SetupDistribution:
-    """Random rational weights on a random selection of compatible contexts."""
-    n = structure.n
+def random_setup(rng: random.Random, suite: MeasurementSuite, max_contexts: int = 4) -> SetupDistribution:
+    """Random rational weights on a random selection of the suite's commuting contexts."""
+    n = suite.n
     # Non-empty subsets by size, then lexicographically.
     subsets = (frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k))
-    pool = [s for s in subsets if s in structure]
+    pool = [s for s in subsets if all(frozenset(p) in suite.commuting_pairs for p in combinations(s, 2))]
     count = rng.randint(1, min(max_contexts, len(pool)))
     chosen = rng.sample(pool, count)
     weights = dict(zip(chosen, random_distribution(rng, count)))
-    return validate_distribution(weights, structure)
+    return validate_distribution(weights, suite)
 
 
 def random_censorship_case(rng: random.Random, dim_choices=(2, 4, 8), n_range=(2, 5), max_mass_den=10**6):
@@ -162,8 +155,7 @@ def random_censorship_case(rng: random.Random, dim_choices=(2, 4, 8), n_range=(2
         dim = rng.choice(dim_choices)
         n = rng.randint(*n_range)
         suite, dens, projs = random_suite(rng, dim, n)
-        structure = compute_compatibility(suite)
-        dist = random_setup(rng, structure)
+        dist = random_setup(rng, suite)
         ok = True
         comps = [fr_sub(fr_identity(dim), p) for p in projs]
         oracle = {}

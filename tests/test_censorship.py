@@ -101,6 +101,18 @@ def test_suite_validation_errors(density, pairs, message):
     assert type(info.value) is KolmorepError
 
 
+@pytest.mark.parametrize("name, message", [
+    (1, "measurement name 1 is not a string"),
+    (("A",), r"measurement name \('A',\) is not a string"),
+    (None, "measurement names must be non-empty"),
+    ("", "measurement names must be non-empty"),
+])
+def test_a_measurement_name_must_be_a_non_empty_string(name, message):
+    with pytest.raises(KolmorepError, match=f"^{message}$") as info:
+        MeasurementSuite.make(DENSITY2, [(name, PROJ2)])
+    assert type(info.value) is KolmorepError
+
+
 def test_a_suite_needs_one_name_per_projector():
     with pytest.raises(KolmorepError, match="^2 measurement names for 1 projectors$") as info:
         MeasurementSuite(DENSITY2, ("A", "B"), (PROJ2,))
@@ -112,6 +124,8 @@ def _first_suite_error(density, pairs):
     for name, proj in pairs:
         if not name:
             return "measurement names must be non-empty"
+        if not isinstance(name, str):
+            return f"measurement name {name!r} is not a string"
         if not proj.has_tag("projector"):
             return f"measurement {name!r} needs a validated projector"
     if not density.has_tag("density"):
@@ -128,7 +142,7 @@ def _first_suite_error(density, pairs):
 @settings(max_examples=200, deadline=None)
 @given(
     density=st.sampled_from([DENSITY2, PLAIN2]),
-    pairs=st.lists(st.tuples(st.sampled_from(["", "A", "B", "C"]), st.sampled_from([PROJ2, PROJ4, PLAIN2])),
+    pairs=st.lists(st.tuples(st.sampled_from(["", None, 1, "A", "B", "C"]), st.sampled_from([PROJ2, PROJ4, PLAIN2])),
                    max_size=4),
 )
 def test_suite_validation_fires_the_first_failing_check(density, pairs):
@@ -149,39 +163,61 @@ def pair_family(*pairs):
     return frozenset(frozenset(p) for p in pairs)
 
 
+def supports(suite, context) -> bool:
+    """Whether weight 1 on `context` validates; False when its measurements do not commute."""
+    try:
+        dist = validate_distribution({frozenset(context): F(1)}, suite)
+    except IncompatibleSupport as err:
+        assert str(err) == f"context {sorted(context)} carries weight 1 but its measurements do not commute"
+        return False
+    assert dist.support == (frozenset(context),)
+    return True
+
+
+def assert_not_a_context(suite, context):
+    message = rf"^context \[{', '.join(map(str, sorted(context)))}\] is not a non-empty subset of 1\.\.{suite.n}$"
+    with pytest.raises(InvalidDistribution, match=message):
+        validate_distribution({frozenset(context): F(1)}, suite)
+
+
 def test_diagonal_projectors_full_power_set():
-    structure = compute_compatibility(diagonal_suite())
-    assert structure.pairs == pair_family({1, 2}, {1, 3}, {2, 3})
-    assert all(s in structure for s in ({1}, {2, 3}, {1, 2, 3}))
-    assert set() not in structure and {1, 4} not in structure and {0} not in structure
+    suite = diagonal_suite()
+    assert compute_compatibility(suite) is suite
+    assert suite.commuting_pairs == pair_family({1, 2}, {1, 3}, {2, 3})
+    assert all(supports(suite, s) for s in ({1}, {2, 3}, {1, 2, 3}))
+    for s in (set(), {1, 4}, {0}):
+        assert_not_a_context(suite, s)
 
 
 def test_orsay_compatibility(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
-    assert structure.pairs == pair_family({1, 3}, {1, 4}, {2, 3}, {2, 4})
-    assert all(s in structure for s in ({1}, {2}, {3}, {4}, {1, 3}, {2, 4}))
-    assert {1, 2} not in structure and {1, 3, 4} not in structure
-    assert set() not in structure and {5} not in structure
+    assert compute_compatibility(suite) is suite
+    assert suite.commuting_pairs == pair_family({1, 3}, {1, 4}, {2, 3}, {2, 4})
+    assert all(supports(suite, s) for s in ({1}, {2}, {3}, {4}, {1, 3}, {2, 4}))
+    assert not supports(suite, {1, 2}) and not supports(suite, {1, 3, 4})
+    for s in (set(), {5}):
+        assert_not_a_context(suite, s)
 
 
 def test_single_measurement_structure():
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     suite = MeasurementSuite.make(w, [("M", Operator(np.diag([1.0, 0.0]), tags=("projector",)))])
-    structure = compute_compatibility(suite)
-    assert structure.pairs == frozenset()
-    assert {1} in structure and set() not in structure and {2} not in structure
+    assert compute_compatibility(suite) is suite
+    assert suite.commuting_pairs == frozenset()
+    assert supports(suite, {1})
+    for s in (set(), {2}):
+        assert_not_a_context(suite, s)
 
 
 def test_membership_is_every_pair_commuting_on_random_suites():
     rng = random.Random(47)
     for _ in range(12):
         suite, _, _ = random_suite(rng, rng.choice((2, 4)), rng.randint(2, 5))
-        structure = compute_compatibility(suite)
+        assert compute_compatibility(suite) is suite
         for k in range(1, suite.n + 1):
             for s in combinations(range(1, suite.n + 1), k):
                 expected = all(commutes(suite.proj(i), suite.proj(j)) for i, j in combinations(s, 2))
-                assert (set(s) in structure) == expected
+                assert supports(suite, s) == expected
 
 
 def test_each_pair_is_tested_once_per_suite(monkeypatch):
@@ -196,7 +232,7 @@ def test_each_pair_is_tested_once_per_suite(monkeypatch):
     cfg = orsay.OrsayConfig()
     suite = orsay.build_suite(cfg)
     for _ in range(2):
-        dist = validate_distribution(dict(zip(orsay.CONTEXTS, cfg.weights)), compute_compatibility(suite))
+        dist = validate_distribution(dict(zip(orsay.CONTEXTS, cfg.weights)), suite)
         build_censored_space(suite, dist)
     assert len(calls) == suite.n * (suite.n - 1) // 2
 
@@ -219,55 +255,52 @@ def test_validate_distribution_accepts_orsay(orsay_setup):
 
 
 def test_validate_distribution_rejects_a_context_listed_twice(orsay_setup):
-    structure = compute_compatibility(orsay_setup[0])
+    suite = orsay_setup[0]
     with pytest.raises(InvalidDistribution, match=r"^duplicate context \[1, 3\]$"):
-        validate_distribution({(1, 3): F(1, 2), (3, 1): F(1, 2)}, structure)
+        validate_distribution({(1, 3): F(1, 2), (3, 1): F(1, 2)}, suite)
 
 
 @pytest.mark.parametrize("context", [(), (1, 5), (0,)])
 def test_validate_distribution_rejects_an_empty_or_out_of_range_context(orsay_setup, context):
-    structure = compute_compatibility(orsay_setup[0])
+    suite = orsay_setup[0]
     message = rf"^context \[{', '.join(map(str, sorted(context)))}\] is not a non-empty subset of 1\.\.4$"
     with pytest.raises(InvalidDistribution, match=message):
-        validate_distribution({context: F(1)}, structure)
+        validate_distribution({context: F(1)}, suite)
 
 
 @pytest.mark.parametrize("weight", [float("inf"), float("nan"), "1/2"])
 def test_validate_distribution_rejects_weights_that_are_not_finite_numbers(orsay_setup, weight):
-    structure = compute_compatibility(orsay_setup[0])
+    suite = orsay_setup[0]
     message = rf"^weight on context \[1, 3\] must be a finite number, got {re.escape(repr(weight))}$"
     with pytest.raises(InvalidDistribution, match=message):
-        validate_distribution({frozenset({1, 3}): weight, frozenset({2, 4}): F(1, 2)}, structure)
+        validate_distribution({frozenset({1, 3}): weight, frozenset({2, 4}): F(1, 2)}, suite)
 
 
 def test_validate_distribution_reads_finite_floats_exactly(orsay_setup):
-    structure = compute_compatibility(orsay_setup[0])
-    dist = validate_distribution({frozenset({1, 3}): 0.75, frozenset({2, 4}): 0.25}, structure)
+    suite = orsay_setup[0]
+    dist = validate_distribution({frozenset({1, 3}): 0.75, frozenset({2, 4}): 0.25}, suite)
     assert dist.weights == {frozenset({1, 3}): F(3, 4), frozenset({2, 4}): F(1, 4)}
 
 
 def test_validate_distribution_rejects_incompatible_mass(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
     with pytest.raises(IncompatibleSupport):
-        validate_distribution({frozenset({1, 2}): F(1, 2), frozenset({1, 3}): F(1, 2)}, structure)
+        validate_distribution({frozenset({1, 2}): F(1, 2), frozenset({1, 3}): F(1, 2)}, suite)
 
 
 def test_validate_distribution_rejects_bad_sums(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
     with pytest.raises(InvalidDistribution):
-        validate_distribution({frozenset({1, 3}): F(1, 2)}, structure)
+        validate_distribution({frozenset({1, 3}): F(1, 2)}, suite)
     with pytest.raises(InvalidDistribution):
         validate_distribution(
-            {frozenset({1, 3}): F(3, 2), frozenset({1, 4}): F(-1, 2)}, structure
+            {frozenset({1, 3}): F(3, 2), frozenset({1, 4}): F(-1, 2)}, suite
         )
 
 
 def test_point_mass_on_single_context(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
-    dist = validate_distribution({frozenset({1, 3}): F(1)}, structure)
+    dist = validate_distribution({frozenset({1, 3}): F(1)}, suite)
     assert dist.support == (frozenset({1, 3}),)
 
 
@@ -530,8 +563,7 @@ def test_incompatible_joint_events_have_zero_mass(orsay_setup):
 
 def test_point_mass_censored_space_matches_context(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
-    dist = validate_distribution({frozenset({1, 3}): F(1)}, structure)
+    dist = validate_distribution({frozenset({1, 3}): F(1)}, suite)
     censored = build_censored_space(suite, dist)
     local = context_space({1, 3}, suite)
     assert len(censored.space.points) == 4
@@ -546,9 +578,8 @@ def test_two_disjoint_contexts_mix_by_half():
     p1 = Operator(np.diag([1.0, 1.0, 0.0, 0.0]), tags=("projector",))
     p2 = Operator(np.diag([1.0, 0.0, 1.0, 0.0]), tags=("projector",))
     suite = MeasurementSuite.make(w, [("M1", p1), ("M2", p2)])
-    structure = compute_compatibility(suite)
     dist = validate_distribution(
-        {frozenset({1}): F(1, 2), frozenset({2}): F(1, 2)}, structure
+        {frozenset({1}): F(1, 2), frozenset({2}): F(1, 2)}, suite
     )
     censored = build_censored_space(suite, dist)
     for i, name in ((1, "M1"), (2, "M2")):
@@ -561,7 +592,7 @@ def test_names_that_collide_with_switch_event_keys_are_rejected():
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
     suite = MeasurementSuite.make(w, [("A", p), ("performed:A", p)])
-    dist = validate_distribution({frozenset({1, 2}): F(1)}, compute_compatibility(suite))
+    dist = validate_distribution({frozenset({1, 2}): F(1)}, suite)
     with pytest.raises(KolmorepError, match="^measurement names collide with switch event keys$") as info:
         build_censored_space(suite, dist)
     assert type(info.value) is KolmorepError
@@ -571,8 +602,7 @@ def test_contexts_whose_joined_names_coincide_are_rejected():
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
     suite = MeasurementSuite.make(w, [("A,B", p), ("C", p), ("A", p), ("B,C", p)])
-    structure = compute_compatibility(suite)
-    dist = validate_distribution({frozenset({1, 2}): F(1, 2), frozenset({3, 4}): F(1, 2)}, structure)
+    dist = validate_distribution({frozenset({1, 2}): F(1, 2), frozenset({3, 4}): F(1, 2)}, suite)
     message = r"^contexts \['A,B', 'C'\] and \['A', 'B,C'\] share the point label 'A,B,C'$"
     with pytest.raises(KolmorepError, match=message) as info:
         build_censored_space(suite, dist)
@@ -667,7 +697,7 @@ def test_assembled_entries_equal_effective_probability_random_suites():
     rng = random.Random(31)
     for _ in range(4):
         suite, _, _ = random_suite(rng, rng.choice((2, 4)), rng.randint(2, 4))
-        dist = random_setup(rng, compute_compatibility(suite))
+        dist = random_setup(rng, suite)
         m = 2 * suite.n
         triples = [{i, j, k} for i in range(1, m + 1) for j in range(i + 1, m + 1) for k in range(j + 1, m + 1)]
         scheme = ConjunctionScheme.make(m, [set(s) for s in pairs_and_singletons(m).sets] + triples)
@@ -919,7 +949,7 @@ def wide_case(*contexts):
     """The 16-measurement diagonal suite with equal weights on the given contexts."""
     suite = random_diagonal_suite(16)
     weights = {frozenset(j): F(1, len(contexts)) for j in contexts}
-    return suite, validate_distribution(weights, compute_compatibility(suite))
+    return suite, validate_distribution(weights, suite)
 
 
 def test_sixteen_measurements_verify_at_full_order():
@@ -944,7 +974,7 @@ def test_more_switch_rows_than_the_guard_are_too_large_before_any_array(monkeypa
     w = Operator(np.diag([0.5, 0.5]), tags=("density",))
     p = Operator(np.diag([1.0, 0.0]), tags=("projector",))
     suite = MeasurementSuite.make(w, [(f"M{i}", p) for i in range(1, 24)])
-    dist = validate_distribution({frozenset({1}): F(1)}, compute_compatibility(suite))
+    dist = validate_distribution({frozenset({1}): F(1)}, suite)
     censored = build_censored_space(suite, dist)
     assert 1 << suite.n > censorship.MAX_COMPARED
     calls = count_born_calls(monkeypatch)
@@ -980,7 +1010,7 @@ def test_more_disagreeing_columns_than_the_guard_are_too_large_before_the_listin
 
 def test_each_guard_admits_exactly_its_bound(monkeypatch):
     suite = diagonal_suite()
-    dist = validate_distribution({frozenset({1, 2, 3}): F(1)}, compute_compatibility(suite))
+    dist = validate_distribution({frozenset({1, 2, 3}): F(1)}, suite)
     censored = build_censored_space(suite, dist)
     broken = all_hits_halved(censored, suite, 3)
     # One switch row of 8 entries; 7 disagreeing columns of 8 entries when broken.

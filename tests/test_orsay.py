@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import radians, sin
 
@@ -195,6 +196,16 @@ def test_the_cli_builds_the_library_config_from_its_weights(monkeypatch, capsys,
     assert built == [TENTHS]  # one suite and one distribution for all three views
     assert len(validated) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("weights", [
+    ("1/4",) * 4,
+    (None, F(1, 4), F(1, 4), F(1, 2)),
+    (Decimal("0.25"),) * 4,
+])
+def test_a_weight_that_is_not_a_number_is_rejected(weights):
+    with pytest.raises(InvalidDistribution, match=r"^need four context weights in \[0, 1\]$"):
+        OrsayConfig(weights=weights)
 
 
 def test_a_boolean_weight_is_a_numerical_failure():

@@ -269,7 +269,15 @@ def test_representation_rejects_weights_that_are_not_finite_numbers(weight):
 def test_representation_rejects_two_keys_for_one_assignment():
     scheme = ConjunctionScheme.singletons(2)
     with pytest.raises(InvalidDistribution, match=r"^duplicate weight for assignment \(1, 0\)$"):
-        representation_from_weights({(1, 0): F(1, 2), ("1", "0"): F(1, 2)}, scheme)
+        # bytes((1, 0)) iterates as the bits 1, 0 but is a distinct dict key; (True, False) would equal (1, 0).
+        representation_from_weights({(1, 0): F(1, 2), bytes((1, 0)): F(1, 2)}, scheme)
+
+
+@pytest.mark.parametrize("bits", [(0.5,), (1.7,), ("1",), (2,), (-1,)])
+def test_representation_rejects_bits_that_are_not_zero_or_one(bits):
+    message = rf"^weight key {re.escape(repr(bits))} is not an n-bit assignment$"
+    with pytest.raises(SchemeMismatch, match=message):
+        representation_from_weights({bits: F(1)}, ConjunctionScheme.singletons(1))
 
 
 @pytest.mark.parametrize("points, mass, events, error, message", [
@@ -284,6 +292,12 @@ def test_representation_rejects_two_keys_for_one_assignment():
 def test_kolmogorov_space_validation(points, mass, events, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         KolmogorovSpace(points, mass, events)
+
+
+@pytest.mark.parametrize("event, kind", [(["x"], "list"), (("x",), "tuple"), ("x", "str")])
+def test_an_event_that_is_not_a_set_is_unknown(event, kind):
+    with pytest.raises(UnknownEvent, match=f"^event 'E' must be a set of point ids, got {kind}$"):
+        KolmogorovSpace(("x",), {"x": F(1)}, {"E": event})
 
 
 def test_evaluate_unknown_event():

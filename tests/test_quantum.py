@@ -201,6 +201,18 @@ def test_operator_rejects_unknown_tags_and_non_hermitian_densities(entries, tags
         Operator(entries, tags=tags)
 
 
+def test_a_tag_string_is_not_split_into_letters():
+    message = "^operator tags must be a collection of tag names, got the string 'projector'$"
+    with pytest.raises(KolmorepError, match=message) as info:
+        Operator(np.eye(2), tags="projector")
+    assert type(info.value) is KolmorepError
+
+
+def test_operator_repr_lists_its_tags():
+    assert repr(Operator(np.eye(2), tags=("projector",))) == "Operator(dim=2, tags=['projector'])"
+    assert repr(Operator(np.zeros((3, 3)))) == "Operator(dim=3)"
+
+
 def test_operator_validation():
     with pytest.raises(KolmorepError):
         Operator(np.array([[0.5, 0.5], [0.0, 0.5]]), tags=("projector",))

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from kolmorep import TooLarge, effective_probability, validate_distribution, compute_compatibility
+from kolmorep import TooLarge, effective_probability, validate_distribution
 from kolmorep.orsay import OrsayConfig
 from kolmorep.simulation import estimate, run
 
@@ -24,8 +24,7 @@ def test_same_seed_same_stream(orsay_setup):
 
 def test_single_trial_concentrated_distribution(orsay_setup):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
-    dist = validate_distribution({frozenset({2, 3}): F(1)}, structure)
+    dist = validate_distribution({frozenset({2, 3}): F(1)}, suite)
     (record,) = run(suite, dist, 1, seed=0)
     assert record.trial == 0
     assert record.context == ("A'", "B")
@@ -41,10 +40,9 @@ def test_single_trial_concentrated_distribution(orsay_setup):
 )
 def test_denominator_beyond_int64_draws_is_too_large(orsay_setup, small, denom):
     suite, _ = orsay_setup
-    structure = compute_compatibility(suite)
     contexts = [frozenset(c) for c in ({1, 3}, {1, 4}, {2, 3}, {2, 4})]
     weights = small + [1 - sum(small)]
-    dist = validate_distribution(dict(zip(contexts, weights)), structure)
+    dist = validate_distribution(dict(zip(contexts, weights)), suite)
     assert lcm(*(w.denominator for w in weights)) == denom >= 2**63
     message = rf"^common denominator {denom} of the sampling weights does not fit in int64$"
     with pytest.raises(TooLarge, match=message):

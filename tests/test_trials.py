@@ -9,7 +9,7 @@ import pytest
 
 import reference_simulation as reference
 from helpers import random_censorship_case
-from kolmorep import MeasurementSuite, Operator, compute_compatibility, validate_distribution
+from kolmorep import MeasurementSuite, Operator, validate_distribution
 from kolmorep.orsay import OrsayConfig
 from kolmorep.serialize import estimates_to_json, records_to_csv, records_to_json
 from kolmorep.simulation import Trials, estimate, run
@@ -84,7 +84,7 @@ def test_names_that_need_escaping_match_the_reference():
         [(name, Operator(np.diag(np.array(d, dtype=float)), tags=("projector",))) for name, d in zip(names, diagonals)],
     )
     weights = {frozenset({1, 2}): F(1, 2), frozenset({3, 4, 5}): F(1, 4), frozenset({1, 5}): F(1, 4)}
-    dist = validate_distribution(weights, compute_compatibility(suite))
+    dist = validate_distribution(weights, suite)
     for trials in (1, 2, 4999):
         text_csv, text_json = assert_matches_reference(suite, dist, trials, seed=trials)
     assert '"a,b+say ""hi"""' in text_csv and "x+y+back\\slash" in text_csv
