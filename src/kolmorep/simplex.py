@@ -25,13 +25,22 @@ row signs, L the lcm of the right-hand-side denominators, ``y = c_B adj`` the
 scaled phase-1 multipliers and w the phase-1 objective. With the signs folded
 into the columns, the last row obeys the same exact Bareiss row update as the
 others, so one update with one integer division pivots the basis inverse,
-the solution, the multipliers and the objective together. Pricing places
-``y S`` at the row masks of one 2^n buffer and sums over subsets in place
-(zeta transform), which gives every column's reduced cost at once; the
-tableau times the entering column gives the direction and, in its last
-entry, the entering reduced cost. The array is int64 while a bound on its
-entries proves that no intermediate value can overflow, and Python integers
-(object dtype) from then on.
+the solution, the multipliers and the objective together. The array is int64
+while a bound on its entries proves that no intermediate value can overflow,
+and Python integers (object dtype) from then on.
+
+Pricing gives every column's reduced cost at once, in one of two ways that
+yield the same integers, so Bland's choices never depend on which one ran.
+While the tableau is int64 and m 2^n is at most ``_INCIDENCE_MAX``, the
+row ``y S`` times the 0/1 incidence matrix (m x 2^n, built once per solve)
+prices in one numpy call per pivot. Otherwise ``y S`` is placed at the row
+masks of one 2^n buffer and summed over subsets in place (zeta transform):
+n + 2 numpy calls and n 2^(n-1) additions against m 2^n multiply-adds, so it
+wins once the system is large, and it never holds the m x 2^n matrix (72 MB
+for the pair scheme at n = 16). Object tableaux always take the zeta
+transform, because an object matrix product makes m 2^n Python
+multiplications. Either way the tableau times the entering column gives the
+direction and, in its last entry, the entering reduced cost.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ import numpy as np
 from .rational import scaled
 
 _INT64_MAX = 2**63 - 1
+# Largest m * 2^n at which int64 pricing multiplies by the incidence matrix.
+# On a 2-core Xeon VM the product solved pair schemes 1.3x faster at n = 8
+# (m 2^n = 9,472), about as fast at n = 9 (23,552) and 1.3-1.6x slower at
+# n = 10 (57,344).
+_INCIDENCE_MAX = 2**15
 
 
 @dataclass(frozen=True)
@@ -98,18 +112,24 @@ def solve_zero_one_feasibility(
     tab[m, m] = sum(start)
     det = 1
     basis = [ncols + i for i in range(m)]  # artificial column per row
+    incidence = None  # column eps of the system, for every eps, while the product pays
+    if dtype is not object and m * ncols <= _INCIDENCE_MAX:
+        incidence = ((masks[:, None] & ~np.arange(ncols)) == 0).astype(np.int64)
     reduced = None
 
     while True:
         if tab.dtype != object and _needs_object(m, int(np.abs(tab).max())):
-            tab, reduced = tab.astype(object), None
-        if reduced is None:  # one pricing buffer per dtype, with its zeta half-views
-            reduced = np.zeros(ncols, dtype=tab.dtype)
-            halves = [(h[:, 0], h[:, 1]) for h in (reduced.reshape(-1, 2, 1 << k) for k in range(n))]
-        reduced.fill(0)
-        np.add.at(reduced, masks, tab[m, :m])
-        for lo, hi in halves:
-            np.add(hi, lo, out=hi)
+            tab, reduced, incidence = tab.astype(object), None, None
+        if incidence is not None:
+            reduced = tab[m, :m] @ incidence
+        else:
+            if reduced is None:  # one pricing buffer per dtype, with its zeta half-views
+                reduced = np.zeros(ncols, dtype=tab.dtype)
+                halves = [(h[:, 0], h[:, 1]) for h in (reduced.reshape(-1, 2, 1 << k) for k in range(n))]
+            reduced.fill(0)
+            np.add.at(reduced, masks, tab[m, :m])
+            for lo, hi in halves:
+                np.add(hi, lo, out=hi)
         entering = int(np.argmax(reduced > 0))  # Bland: lowest assignment index
 
         if not reduced[entering] > 0:
@@ -124,12 +144,13 @@ def solve_zero_one_feasibility(
             return FeasibilityResult(weights=None, farkas=farkas)
 
         # det B^-1 column(entering), and in the last entry reduced[entering].
-        direction = tab[:, :m] @ ((masks & ~entering) == 0)
+        column = incidence[:, entering] if incidence is not None else (masks & ~entering) == 0
+        direction = tab[:, :m] @ column
         xs, ds = tab[:m, m].tolist(), direction.tolist()
         leave = -1
-        for i in np.flatnonzero(direction[:m] > 0).tolist():
+        for i in range(m):
             # Ratio test by cross-multiplication, ties to the lowest basis index.
-            if leave < 0 or (xs[i] * ds[leave], basis[i]) < (xs[leave] * ds[i], basis[leave]):
+            if ds[i] > 0 and (leave < 0 or (xs[i] * ds[leave], basis[i]) < (xs[leave] * ds[i], basis[leave])):
                 leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective is bounded below; no unbounded direction exists")
@@ -137,7 +158,7 @@ def solve_zero_one_feasibility(
         # One Bareiss step pivots adj, the solution, the multipliers and the objective.
         pivot, row = ds[leave], tab[leave].copy()
         tab *= pivot
-        tab -= np.outer(direction, row)
+        tab -= direction[:, None] * row
         tab //= det
         tab[leave] = row
         det = pivot

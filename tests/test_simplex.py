@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,13 +123,28 @@ def assert_plain_fractions(res):
         assert type(v.numerator) is int and type(v.denominator) is int
 
 
-def test_equals_reference_on_random_corpus():
+# Values of simplex._INCIDENCE_MAX: zeta pricing always, and the incidence
+# product wherever the tableau is int64.
+PRICING_LIMITS = (0, 2**62)
+
+
+def solve_each_pricing(monkeypatch, n, rows):
+    """The solver's result under each pricing, in PRICING_LIMITS order."""
+    results = []
+    for limit in PRICING_LIMITS:
+        monkeypatch.setattr(simplex, "_INCIDENCE_MAX", limit)
+        results.append(solve_zero_one_feasibility(n, rows))
+    return results
+
+
+def test_equals_reference_on_random_corpus(monkeypatch):
     verdicts = set()
     for n, rows in corpus():
-        res = solve_zero_one_feasibility(n, rows)
-        assert res == reference_solve(n, rows), (n, rows)
-        assert_plain_fractions(res)
-        verdicts.add(res.feasible)
+        expected = reference_solve(n, rows)
+        for res in solve_each_pricing(monkeypatch, n, rows):
+            assert res == expected, (n, rows)
+            assert_plain_fractions(res)
+        verdicts.add(expected.feasible)
     assert verdicts == {True, False}
 
 
@@ -141,7 +157,7 @@ def test_equals_reference_on_orsay_effective_vector():
     check_weights(8, rows, res.weights)
 
 
-def test_duplicate_row_masks_equal_reference():
+def test_duplicate_row_masks_equal_reference(monkeypatch):
     # Rows sharing a mask add their multipliers at one pricing entry.
     rng = random.Random(11)
     systems = [
@@ -155,9 +171,10 @@ def test_duplicate_row_masks_equal_reference():
         systems.append((n, list(zip(masks, random_rhs(rng, n, masks, ("inside", "outside")[k % 2])))))
     verdicts = set()
     for n, rows in systems:
-        res = solve_zero_one_feasibility(n, rows)
-        assert res == reference_solve(n, rows), (n, rows)
-        verdicts.add(res.feasible)
+        expected = reference_solve(n, rows)
+        for res in solve_each_pricing(monkeypatch, n, rows):
+            assert res == expected, (n, rows)
+        verdicts.add(expected.feasible)
     assert verdicts == {True, False}
 
 
@@ -175,16 +192,37 @@ def pair_scheme_rows(rng, n, nudge):
     return list(zip(masks, values))
 
 
-def test_equals_reference_on_pair_scheme_corpus():
+def test_equals_reference_on_pair_scheme_corpus(monkeypatch):
     rng = random.Random(5)
     verdicts = set()
     for n, count in ((5, 6), (6, 2)):
         for k in range(count):
             rows = pair_scheme_rows(rng, n, nudge=k % 2 == 1)
-            res = solve_zero_one_feasibility(n, rows)
-            assert res == reference_solve(n, rows), (n, rows)
-            verdicts.add(res.feasible)
+            expected = reference_solve(n, rows)
+            for res in solve_each_pricing(monkeypatch, n, rows):
+                assert res == expected, (n, rows)
+            verdicts.add(expected.feasible)
     assert verdicts == {True, False}
+
+
+def test_large_system_prices_without_the_incidence_matrix():
+    # m * 2^n = 13 * 4096 is above the crossover, so pricing stays on the zeta
+    # transform and the solve never holds the m x 2^n int64 matrix.
+    n = 12
+    rows = [(0, F(1))] + [(mask(i), F(i, i + 1)) for i in range(1, n + 1)]
+    matrix_bytes = 8 * len(rows) << n
+    assert len(rows) << n > simplex._INCIDENCE_MAX
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = solve_zero_one_feasibility(n, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.feasible
+    check_weights(n, rows, res.weights)
+    assert peak < matrix_bytes
 
 
 def test_objective_entry_counts_toward_the_guard_peak(monkeypatch):
@@ -237,6 +275,8 @@ def test_huge_denominators_run_on_python_ints(monkeypatch, case):
 
 def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
     # Vertex systems start with entries of 1; basis determinants then grow past it.
+    # int64 iterations price by the incidence product, object ones by zeta.
+    monkeypatch.setattr(simplex, "_INCIDENCE_MAX", PRICING_LIMITS[1])
     rng = random.Random(7)
     systems = [(n, random_system(rng, n, "vertex")) for n in (4, 5) for _ in range(20)]
     calls = record_guard(monkeypatch)
