@@ -19,14 +19,9 @@ suite is built, and every mass and probability is derived from those
 fractions exactly. So a space is built and verified from the same moments,
 the verification is exact and the context marginals agree by construction.
 
-Verification decides on rows, not on the 4^n table of joint measures. Each
-switch mask sigma (of a point or of a support context) gets one row over the
-2^n outcome masks: the found row sums the glued space's point masses, the
-expected row is kappa_sigma times the moments inside sigma. Every joint
-measure and every effective probability is a sum of rows over the switch
-masks containing I2, and that sum is invertible, so the rows agree exactly
-when every checked pair does. A space that fails lists its mismatches from the
-same rows, one superset sum over the switch bits per column that disagrees.
+Verification decides on one exact integer row per switch mask, not on the
+4^n table of joint measures: ``lattice.superset_sums`` turns point masses into
+rows and rows into joint measures (see ``verify_censorship``).
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Optional
 
@@ -51,10 +46,11 @@ from .errors import (
     TooLarge,
     UnknownEvent,
 )
-from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, _bits, _mask
+from . import lattice
+from .lattice import INT64_MAX
+from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace
 from .quantum import Operator, born, commutes
 from .rational import DEFAULT_POLICY, RationalizationPolicy, exact_number, rationalize, scaled
-from .simplex import _INT64_MAX
 
 SWITCH_EVENT_PREFIX = "performed:"
 MAX_COMPARED = 1 << 22  # integers compared in one verification pass: 32 MB of int64
@@ -127,10 +123,7 @@ class MeasurementSuite:
 
     def _mask_of(self, index_set: Iterable[int]) -> int:
         """Bitmask of 1-based measurement indices, each checked like ``proj`` checks it."""
-        mask = 0
-        for i in index_set:
-            mask |= 1 << self._position(i)
-        return mask
+        return lattice.mask(self._position(i) + 1 for i in index_set)
 
     def moment(self, index_set: Iterable[int]) -> Fraction:
         """tr(W prod_{i in I} A_i) as an exact fraction under ``policy``, computed once per set.
@@ -148,7 +141,7 @@ class MeasurementSuite:
             if not mask:
                 value = Fraction(1)
             else:
-                t = born(self.density, [self.proj(i) for i in _members(mask)])
+                t = born(self.density, [self.proj(i) for i in lattice.members(mask)])
                 if t < -quantum.TAU_PROB:
                     raise NumericalFailure(f"trace value {t} is negative beyond tolerance")
                 value = rationalize(max(t, 0.0), self.policy)
@@ -237,41 +230,34 @@ def context_space(context: Iterable[int], suite: MeasurementSuite) -> Kolmogorov
         if frozenset({i, j}) not in suite.commuting_pairs:
             raise IncompatibleContext(f"measurements {a!r} and {b!r} do not commute")
 
-    k = len(members)
-    # atoms[sub] starts as the moment of the members whose bits are set in sub, over a common denominator ...
+    # atoms[sub] starts as the moment of the members whose bits are set in sub, over a common denominator;
+    # the first member takes the highest bit, so sub written in binary is its point's id ...
     masks = [0]
-    for i in members:
+    for i in reversed(members):
         masks += [mask | 1 << (i - 1) for mask in masks]
-    den, atoms = scaled([suite._mask_moment(mask) for mask in masks])
+    den, numerators = scaled([suite._mask_moment(mask) for mask in masks])
     # ... and Moebius inversion over supersets turns it into the atom with exactly those hits.
-    for pos in range(k):
-        bit = 1 << pos
-        for sub in range(1 << k):
-            if not sub & bit:
-                atoms[sub] -= atoms[sub | bit]
+    atoms = lattice.invert_superset_sums(np.array(numerators, dtype=object)).tolist()
     if min(atoms) < 0:
         raise NumericalFailure(
             f"context {names} has a negative atom {Fraction(min(atoms), den)}: "
             "its rationalized moments admit no distribution"
         )
 
-    ids, order, hits = _outcome_points(k)
-    mass = {pid: Fraction(atoms[sub], den) for pid, sub in zip(ids, order)}
+    ids, hits = _outcome_points(len(members))
+    mass = {pid: Fraction(atom, den) for pid, atom in zip(ids, reversed(atoms))}
     return KolmogorovSpace(ids, mass, dict(zip(names, hits)))
 
 
 @cache
 def _outcome_points(k: int) -> tuple:
-    """Point ids of a k-member context, each point's atom mask, and each member's hit points.
+    """Point ids of a k-member context and each member's hit points.
 
-    An id has one character per member in order, "1" for a hit; the points
-    run from all hits down to all misses.
+    An id has one character per member in order, "1" for a hit: it is its
+    atom's mask in binary. The points run from all hits down to all misses.
     """
-    point_bits = tuple(product((1, 0), repeat=k))
-    ids = tuple("".join(map(str, bits)) for bits in point_bits)
-    order = tuple(sum(b << pos for pos, b in enumerate(bits)) for bits in point_bits)
-    hits = tuple(frozenset(pid for pid, bits in zip(ids, point_bits) if bits[pos]) for pos in range(k))
-    return ids, order, hits
+    ids = tuple(format(sub, f"0{k}b") for sub in reversed(range(1 << k)))
+    return ids, tuple(frozenset(pid for pid in ids if pid[pos] == "1") for pos in range(k))
 
 
 def effective_probability(
@@ -365,19 +351,6 @@ class VerificationReport:
         return not self.mismatches
 
 
-def _members(mask: int) -> tuple:
-    """Sorted 1-based indices of the bits set in a mask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _superset_sums(a: np.ndarray, bits: Iterable[int]) -> np.ndarray:
-    """In place: a[S] becomes the sum of a[T] over every T that contains S and differs only in these bits."""
-    for b in bits:
-        half = a.reshape(-1, 2, 1 << b)
-        half[:, 0] += half[:, 1]
-    return a
-
-
 def _point_weights(censored: CensoredSpace, suite: MeasurementSuite) -> tuple:
     """Common denominator and the scaled masses per 2n-bit event mask, read off the events only."""
     space = censored.space
@@ -403,7 +376,7 @@ def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) ->
     scheme over the 2n events, found without a linear program.
     """
     den, weights = _point_weights(censored, suite)
-    return Inside({_bits(mask, 2 * suite.n): Fraction(w, den) for mask, w in sorted(weights.items()) if w})
+    return Inside({lattice.bits(mask, 2 * suite.n): Fraction(w, den) for mask, w in sorted(weights.items()) if w})
 
 
 def verify_censorship(
@@ -442,20 +415,20 @@ def verify_censorship(
 
     den, point_weights = _point_weights(censored, suite)
     kden, kappas = scaled([dist.weights[j] for j in dist.support])
-    contexts = [_mask(j) for j in dist.support]
+    contexts = [lattice.mask(j) for j in dist.support]
     # One row per switch mask: the support contexts first, then the points' other masks.
     switches = list(dict.fromkeys(contexts + [mask >> n for mask in point_weights]))
     if len(switches) << n > MAX_COMPARED:
         raise TooLarge(f"{len(switches)} switch rows of 2^{n} entries exceed {MAX_COMPARED} per pass")
     row = {sigma: r for r, sigma in enumerate(switches)}
-    outcomes = np.arange(size)
+    outcomes = np.arange(size, dtype=np.int64)
     inside = (outcomes & np.array(switches)[:, None]) == outcomes
     # The moments that effective probabilities up to max_order ask for.
     needed = inside[:len(contexts)].any(axis=0)
     if max_order < n:  # only then can an outcome set be too large
-        popcount = np.zeros_like(outcomes)  # bit counts, doubled one bit at a time
-        for b in range(n):
-            popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+        popcount = np.zeros_like(outcomes)  # bit counts: subset sums of the singletons
+        popcount[1 << np.arange(n)] = 1
+        lattice.subset_sums(popcount)
         needed &= popcount <= max_order
     needed = np.flatnonzero(needed).tolist()
     mden, moments = scaled([suite._mask_moment(u) for u in needed])
@@ -463,10 +436,10 @@ def verify_censorship(
     # Found entries are at most den, sw entries at most the weight total, and
     # the empty moment is needed, so max(moments) >= mden bounds both sides.
     peak = den * max(kden, sum(kappas)) * max(moments, default=1)
-    dtype = np.int64 if peak <= _INT64_MAX else object
-    local, kappa, m = (np.zeros(k, dtype=dtype) for k in (len(switches) * size, len(switches), size))
-    local[[row[mask >> n] * size + (mask & (size - 1)) for mask in point_weights]] = list(point_weights.values())
-    local = _superset_sums(local, range(n)).reshape(-1, size)
+    dtype = np.int64 if peak <= INT64_MAX else object
+    local, kappa, m = (np.zeros(k, dtype=dtype) for k in ((len(switches), size), len(switches), size))
+    local.flat[[row[mask >> n] * size + (mask & (size - 1)) for mask in point_weights]] = list(point_weights.values())
+    lattice.superset_sums(local)
     kappa[:len(contexts)] = kappas
     m[needed] = moments
 
@@ -486,13 +459,14 @@ def verify_censorship(
     found, effective = (np.zeros((len(columns), size), dtype=dtype) for _ in range(2))
     found[:, switches] = local[:, columns].T * scale
     effective[:, switches] = (kappa[:, None] * m[columns] * inside[:, columns]).T * den
-    bad = _superset_sums(found, range(n)) != _superset_sums(effective, range(n))
+    bad = lattice.superset_sums(found) != lattice.superset_sums(effective)
     if max_order < n:
         bad &= popcount[columns[:, None] | outcomes] <= max_order
     c, s = np.nonzero(bad)
     hits = zip(columns[c].tolist(), s.tolist(), effective[c, s].tolist(), found[c, s].tolist())
     mismatches = sorted(
-        (VerificationMismatch(_members(o), _members(i2), Fraction(e, den * scale), Fraction(f, den * scale))
+        (VerificationMismatch(
+            lattice.members(o), lattice.members(i2), Fraction(e, den * scale), Fraction(f, den * scale))
          for o, i2, e, f in hits),
         key=lambda v: (len(v.outcomes), v.outcomes, len(v.switches), v.switches))
     return VerificationReport(checked, max_order, tuple(mismatches))

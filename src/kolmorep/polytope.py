@@ -11,8 +11,8 @@ constructive:
 * Inside verdicts carry a convex decomposition over assignments, which
   ``representation_from_weights`` turns into an explicit probability space.
 * Outside verdicts carry an affine functional that is non-positive on every
-  vertex but positive on the tested vector; anyone can re-check it by
-  enumerating the 2^n assignments.
+  vertex but positive on the tested vector; ``certificate_is_valid``
+  re-checks it on all 2^n assignments with one subset-sum pass.
 
 Decisions are exact over the rationals (phase-1 simplex, Bland's rule); no
 tolerance enters anywhere in this module.
@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import lattice
 from .errors import (
     InvalidDistribution,
     SchemeMismatch,
@@ -123,22 +124,8 @@ class Outside:
     def gap(self, p: CorrelationVector) -> Fraction:
         return sum((c * p[s] for s, c in self.certificate.items()), self.offset)
 
-    def gap_at_vertex(self, bits: Sequence[int]) -> Fraction:
-        return sum((c for s, c in self.certificate.items() if all(bits[i - 1] for i in s)), self.offset)
-
 
 Verdict = Union[Inside, Outside]
-
-
-def _mask(index_set: Iterable[int]) -> int:
-    m = 0
-    for i in index_set:
-        m |= 1 << (i - 1)
-    return m
-
-
-def _bits(mask: int, n: int) -> tuple:
-    return tuple((mask >> k) & 1 for k in range(n))
 
 
 def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
@@ -191,7 +178,7 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
         raise TooLarge(f"{n} events means 2^{n} columns; raise n_max to force the run")
 
     order = p.scheme.sorted_sets()
-    masks = [_mask(s) for s in order]
+    masks = [lattice.mask(s) for s in order]
     quick = _quick_separation(p, order, masks)
     if quick is not None:
         return quick
@@ -200,7 +187,7 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     rows += [(mask, p.values[s]) for s, mask in zip(order, masks)]
     result = solve_zero_one_feasibility(n, rows)
     if result.feasible:
-        return Inside({_bits(mask, n): w for mask, w in sorted(result.weights.items())})
+        return Inside({lattice.bits(mask, n): w for mask, w in sorted(result.weights.items())})
     offset = result.farkas[0]
     cert = {s: y for s, y in zip(order, result.farkas[1:]) if y}
     cert, offset = _normalize_certificate(cert, offset)
@@ -208,11 +195,19 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
 
 
 def certificate_is_valid(p: CorrelationVector, verdict: Outside) -> bool:
-    """Re-check a separating functional by enumerating all 2^n vertices."""
-    n = p.scheme.n
+    """Re-check a separating functional on the vector and, by one subset-sum pass, on all 2^n vertices.
+
+    The coefficients, scaled to integers, sit at their masks and the offset at
+    the empty set. Their absolute values summed bound every partial sum, so
+    int64 holds the pass while that sum is at most ``lattice.INT64_MAX``; Python ints hold it otherwise.
+    """
     if any(s not in p.scheme.sets for s in verdict.certificate):
         return False
-    return all(verdict.gap_at_vertex(_bits(mask, n)) <= 0 for mask in range(1 << n)) and verdict.gap(p) > 0
+    _, numerators = scaled([*verdict.certificate.values(), verdict.offset])
+    peak = sum(map(abs, numerators))
+    values = np.zeros(1 << p.scheme.n, dtype=np.int64 if peak <= lattice.INT64_MAX else object)
+    values[[lattice.mask(s) for s in verdict.certificate] + [0]] = numerators
+    return bool((lattice.subset_sums(values) <= 0).all()) and verdict.gap(p) > 0
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,11 @@ yield the same integers, so Bland's choices never depend on which one ran.
 While the tableau is int64 and m 2^n is at most ``_INCIDENCE_MAX``, the
 row ``y S`` times the 0/1 incidence matrix (m x 2^n, built once per solve)
 prices in one numpy call per pivot. Otherwise ``y S`` is placed at the row
-masks of one 2^n buffer and summed over subsets in place (zeta transform):
-n + 2 numpy calls and n 2^(n-1) additions against m 2^n multiply-adds, so it
-wins once the system is large, and it never holds the m x 2^n matrix (72 MB
-for the pair scheme at n = 16). Object tableaux always take the zeta
-transform, because an object matrix product makes m 2^n Python
+masks of one 2^n buffer and ``lattice.subset_sums`` sums it over subsets in
+place: about n numpy calls and n 2^(n-1) additions against m 2^n
+multiply-adds, so it wins once the system is large, and it never holds the
+m x 2^n matrix (72 MB for the pair scheme at n = 16). Object tableaux always
+take the subset sums, because an object matrix product makes m 2^n Python
 multiplications. Either way the tableau times the entering column gives the
 direction and, in its last entry, the entering reduced cost.
 """
@@ -51,9 +51,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .lattice import INT64_MAX, subset_sums
 from .rational import scaled
 
-_INT64_MAX = 2**63 - 1
 # Largest m * 2^n at which int64 pricing multiplies by the incidence matrix.
 # On a 2-core Xeon VM the product solved pair schemes 1.3x faster at n = 8
 # (m 2^n = 9,472), about as fast at n = 9 (23,552) and 1.3-1.6x slower at
@@ -85,7 +85,7 @@ def _needs_object(m: int, peak: int) -> bool:
     sums of at most m stored entries (the multipliers and the objective are
     tableau entries, so they count toward ``peak``) and reach ``m peak``.
     """
-    return m * peak * max(2 * peak, m) > _INT64_MAX
+    return m * peak * max(2 * peak, m) > INT64_MAX
 
 
 def solve_zero_one_feasibility(
@@ -115,21 +115,16 @@ def solve_zero_one_feasibility(
     incidence = None  # column eps of the system, for every eps, while the product pays
     if dtype is not object and m * ncols <= _INCIDENCE_MAX:
         incidence = ((masks[:, None] & ~np.arange(ncols)) == 0).astype(np.int64)
-    reduced = None
 
     while True:
         if tab.dtype != object and _needs_object(m, int(np.abs(tab).max())):
-            tab, reduced, incidence = tab.astype(object), None, None
+            tab, incidence = tab.astype(object), None
         if incidence is not None:
             reduced = tab[m, :m] @ incidence
         else:
-            if reduced is None:  # one pricing buffer per dtype, with its zeta half-views
-                reduced = np.zeros(ncols, dtype=tab.dtype)
-                halves = [(h[:, 0], h[:, 1]) for h in (reduced.reshape(-1, 2, 1 << k) for k in range(n))]
-            reduced.fill(0)
+            reduced = np.zeros(ncols, dtype=tab.dtype)
             np.add.at(reduced, masks, tab[m, :m])
-            for lo, hi in halves:
-                np.add(hi, lo, out=hi)
+            subset_sums(reduced)
         entering = int(np.argmax(reduced > 0))  # Bland: lowest assignment index
 
         if not reduced[entering] > 0:

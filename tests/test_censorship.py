@@ -798,7 +798,7 @@ def test_verify_equals_reference_on_orsay_suites(monkeypatch, angles, dtype):
 
 
 def test_verify_on_python_ints_equals_reference(monkeypatch):
-    monkeypatch.setattr(censorship, "_INT64_MAX", 2**5)
+    monkeypatch.setattr(censorship, "INT64_MAX", 2**5)
     for suite, dist, _oracle in random_cases()[::3]:
         assert_same_reports(build_censored_space(suite, dist), suite, dist)
 
@@ -901,7 +901,7 @@ def test_verify_equals_reference_when_a_point_has_a_switch_mask_outside_the_supp
 @pytest.mark.parametrize("int64_max, dtype", [(None, np.int64), (2**5, object)])
 def test_verify_equals_reference_at_every_order_on_both_dtypes(monkeypatch, int64_max, dtype):
     if int64_max is not None:
-        monkeypatch.setattr(censorship, "_INT64_MAX", int64_max)
+        monkeypatch.setattr(censorship, "INT64_MAX", int64_max)
     dtypes = record_dtypes(monkeypatch)
     for suite, dist in small_cases()[::2]:
         censored = build_censored_space(suite, dist)

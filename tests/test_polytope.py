@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from kolmorep import (
     representation_from_weights,
     vertex,
 )
+from kolmorep import lattice
 from kolmorep.simplex import solve_zero_one_feasibility
 
 F = Fraction
@@ -220,6 +222,62 @@ def test_random_vectors_have_sound_witnesses():
             values = list(verdict.certificate.values()) + [verdict.offset]
             assert all(v.denominator == 1 for v in values)  # integer-normalized
     assert outside > 0  # uniform draws mostly leave the polytope
+
+
+def brute_force_valid(p, verdict):
+    """The Outside check by its definition: the functional on each of the 2^n vertices, then on the vector."""
+    if any(s not in p.scheme.sets for s in verdict.certificate):
+        return False
+    for eps in range(1 << p.scheme.n):
+        switched_on = [c for s, c in verdict.certificate.items() if all(eps >> (i - 1) & 1 for i in s)]
+        if sum(switched_on, verdict.offset) > 0:
+            return False
+    return verdict.gap(p) > 0
+
+
+def spy_dtypes(monkeypatch):
+    """Record the dtype of every array the certificate check transforms."""
+    dtypes = []
+    transform = lattice.subset_sums
+    monkeypatch.setattr(lattice, "subset_sums", lambda a: dtypes.append(a.dtype) or transform(a))
+    return dtypes
+
+
+def test_certificate_check_agrees_with_a_vertex_loop_on_valid_and_corrupted_certificates(monkeypatch):
+    rng = random.Random(21)
+    dtypes = spy_dtypes(monkeypatch)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        scheme = pair_scheme(rng.randint(1, 6))
+        p = CorrelationVector(scheme, {s: F(rng.randint(0, 12), 12) for s in scheme.sets})
+        verdict = membership(p)
+        if isinstance(verdict, Inside):
+            continue
+        assert certificate_is_valid(p, verdict)
+        assert brute_force_valid(p, verdict)
+        # One coefficient changed, up or down, possibly to a fraction.
+        cert = dict(verdict.certificate)
+        s = rng.choice(sorted(cert, key=sorted))
+        cert[s] += rng.choice((-1, 1)) * F(rng.randint(1, 4), rng.randint(1, 3))
+        broken = Outside(cert, verdict.offset)
+        valid = certificate_is_valid(p, broken)
+        assert valid == brute_force_valid(p, broken)
+        seen[valid] += 1
+    assert seen[True] > 0 and seen[False] > 0
+    assert set(dtypes) == {np.dtype(np.int64)}
+
+
+def test_certificate_check_runs_on_python_ints_past_int64(monkeypatch):
+    # The pair atom p1 + p2 - p12 <= 1, scaled by a factor past 2^62: its sums leave int64.
+    scheme = ConjunctionScheme.make(2, [{1}, {2}, {1, 2}])
+    p = CorrelationVector(scheme, {frozenset({1}): F(1), frozenset({2}): F(1), frozenset({1, 2}): F(1, 2)})
+    big = F(2**62 + 1)
+    valid = Outside({frozenset({1}): big, frozenset({2}): big, frozenset({1, 2}): -big}, -big)
+    broken = Outside({frozenset({1}): big, frozenset({2}): big, frozenset({1, 2}): 1 - big}, -big)
+    dtypes = spy_dtypes(monkeypatch)
+    assert certificate_is_valid(p, valid) and brute_force_valid(p, valid)
+    assert not certificate_is_valid(p, broken) and not brute_force_valid(p, broken)
+    assert dtypes == [object, object]
 
 
 # --- spaces ---------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
     for n, rows in systems:
         expected = reference_solve(n, rows)
         for k in range(2, 16):
-            monkeypatch.setattr(simplex, "_INT64_MAX", 2**k)
+            monkeypatch.setattr(simplex, "INT64_MAX", 2**k)
             calls.clear()
             res = solve_zero_one_feasibility(n, rows)
             assert res == expected, (n, rows, k)
