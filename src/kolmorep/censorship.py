@@ -9,15 +9,15 @@ then
 
     (total weight of contexts covering I1 and I2) x tr(W prod_{i in I1} A_i),
 
-zero whenever the required measurements cannot coexist. This module builds
-the per-context outcome spaces, glues them into one finite probability space
-on the disjoint union of their sample sets, and verifies that this single
-space reproduces every effective probability. The only floats are the
-moments tr(W prod_{i in I} A_i); each is identified with an exact fraction
-once per suite (``MeasurementSuite.moment``), under the policy fixed when the
-suite is built, and every mass and probability is derived from those
-fractions exactly. So a space is built and verified from the same moments,
-the verification is exact and the context marginals agree by construction.
+zero whenever the required measurements cannot coexist. This module inverts
+each context's moments into integer atoms, glues them, each times its context's
+weight, into one probability space on the disjoint union of the contexts'
+outcomes, and verifies that it reproduces every effective probability. The only
+floats are the moments tr(W prod_{i in I} A_i); each is identified with an
+exact fraction once per suite (``MeasurementSuite.moment``), under the policy
+fixed when the suite is built, and every mass and probability is derived from
+those fractions exactly, so verification is exact and the context marginals
+agree by construction.
 
 Verification decides on one exact integer row per switch mask, not on the
 4^n table of joint measures: ``lattice.superset_sums`` turns point masses into
@@ -26,6 +26,7 @@ rows and rows into joint measures (see ``verify_censorship``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -110,7 +111,8 @@ class MeasurementSuite:
         return self.names.index(name) + 1
 
     def _position(self, i: int) -> int:
-        """The 0-based position of 1-based index `i`, checked to lie in 1..n."""
+        """The 0-based position of 1-based index `i`, checked to be an integer in 1..n."""
+        i = _index(i)
         if not 1 <= i <= self.n:
             raise KolmorepError(f"no measurement with index {i}: the suite has {self.n}, indexed 1..{self.n}")
         return i - 1
@@ -157,6 +159,13 @@ class MeasurementSuite:
         )
 
 
+def _index(i) -> int:
+    """A measurement index as an int; a bool or a non-integer raises ``KolmorepError`` naming it."""
+    if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+        raise KolmorepError(f"measurement index {i!r} is not an integer")
+    return operator.index(i)
+
+
 @cache
 def _pair(i: int, j: int) -> frozenset:
     """frozenset({i, j}), one object per index pair for every suite to share."""
@@ -184,7 +193,10 @@ def validate_distribution(weights: Mapping, suite: MeasurementSuite) -> SetupDis
     """Check that the weights form a distribution supported on sets of the suite's commuting measurements."""
     cleaned = {}
     for key, w in weights.items():
-        j = frozenset(key)
+        try:
+            j = frozenset(map(_index, key))
+        except (TypeError, KolmorepError):
+            raise InvalidDistribution(f"context {key!r} is not a set of integer measurement indices") from None
         if not isinstance(w, Fraction):
             w = exact_number(w, f"weight on context {sorted(j)}")
         if w < 0:
@@ -209,20 +221,13 @@ def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fra
     return sum((w for j, w in dist.weights.items() if wanted <= j and w > 0), Fraction(0))
 
 
-def context_space(context: Iterable[int], suite: MeasurementSuite) -> KolmogorovSpace:
-    """Outcome space of one context: atoms are the 2^|J| joint outcomes.
+def _context_atoms(context: Iterable[int], suite: MeasurementSuite) -> tuple:
+    """Member names, common denominator and integer atoms of one context, from all hits down to all misses.
 
-    Atom masses come from the suite's exact moments by inclusion-exclusion:
-    the atom whose hits are S (misses the rest of J) has mass
-    sum_{S <= T <= J} (-1)^|T - S| m_T. The atoms sum to m_empty = 1 exactly,
-    and every marginal is exactly the moment of its hits, so contexts agree
-    wherever they overlap. A negative atom means the rationalized moments
-    admit no distribution; it is reported as a numerical failure, never
-    clamped. Atom masses may have denominators above the suite policy's bound.
-    The inversion runs on the moments' integer numerators over their common
-    denominator, and each atom becomes one fraction at the end.
+    The atom whose hits are S (misses the rest of J) is sum_{S <= T <= J} (-1)^|T - S| m_T, inverted on the
+    moments' numerators. A negative atom means they admit no distribution: a numerical failure, never clamped.
     """
-    members = sorted(frozenset(context))
+    members = sorted(frozenset(map(_index, context)))
     if not members:
         raise IncompatibleContext("a context needs at least one measurement")
     names = [suite.name_of(i) for i in members]
@@ -243,10 +248,18 @@ def context_space(context: Iterable[int], suite: MeasurementSuite) -> Kolmogorov
             f"context {names} has a negative atom {Fraction(min(atoms), den)}: "
             "its rationalized moments admit no distribution"
         )
+    return names, den, atoms[::-1]
 
-    ids, hits = _outcome_points(len(members))
-    mass = {pid: Fraction(atom, den) for pid, atom in zip(ids, reversed(atoms))}
-    return KolmogorovSpace(ids, mass, dict(zip(names, hits)))
+
+def context_space(context: Iterable[int], suite: MeasurementSuite) -> KolmogorovSpace:
+    """Outcome space of one context: its 2^|J| joint outcomes, each massed by its ``_context_atoms`` atom.
+
+    The masses sum to m_empty = 1 exactly and every marginal is exactly the moment of its hits, so contexts
+    agree wherever they overlap. Masses may have denominators above the suite policy's bound.
+    """
+    names, den, atoms = _context_atoms(context, suite)
+    ids, hits = _outcome_points(len(names))
+    return KolmogorovSpace(ids, {pid: Fraction(atom, den) for pid, atom in zip(ids, atoms)}, dict(zip(names, hits)))
 
 
 @cache
@@ -299,7 +312,8 @@ def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> Ce
     Only contexts with positive weight contribute points; zero-weight
     contexts would add null atoms without changing any probability. A point
     id is its context's member names joined by ',', then '|' and the context
-    point; two contexts whose joined names coincide are rejected.
+    point; two contexts whose joined names coincide are rejected. A point's mass
+    is one fraction: kappa_J times its ``_context_atoms`` atom over their denominators.
     """
     points = []
     mass = {}
@@ -312,14 +326,15 @@ def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> Ce
         label = ",".join(names)
         if labelled.setdefault(label, names) is not names:
             raise KolmorepError(f"contexts {labelled[label]} and {names} share the point label {label!r}")
-        local = context_space(context, suite)
+        _, den, atoms = _context_atoms(context, suite)
         kappa = dist.weights[context]
-        full_ids = {pid: f"{label}|{pid}" for pid in local.points}
+        ids, hits = _outcome_points(len(names))
+        full_ids = {pid: f"{label}|{pid}" for pid in ids}
         points += full_ids.values()
-        mass.update((full_id, kappa * local.mass[pid]) for pid, full_id in full_ids.items())
-        for name in names:
+        mass.update(zip(full_ids.values(), (Fraction(kappa.numerator * a, kappa.denominator * den) for a in atoms)))
+        for name, hit in zip(names, hits):
             switch_sets[name].update(full_ids.values())
-            outcome_sets[name].update(map(full_ids.__getitem__, local.events[name]))
+            outcome_sets[name].update(map(full_ids.__getitem__, hit))
 
     outcome_keys = {name: name for name in suite.names}
     switch_keys = {name: f"{SWITCH_EVENT_PREFIX}{name}" for name in suite.names}

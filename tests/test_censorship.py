@@ -268,6 +268,21 @@ def test_validate_distribution_rejects_an_empty_or_out_of_range_context(orsay_se
         validate_distribution({context: F(1)}, suite)
 
 
+@pytest.mark.parametrize("context", [1, frozenset({1, "A"}), (1, 3.0), (True, 3), (1, np.True_), "13"])
+def test_validate_distribution_rejects_a_context_that_is_not_a_set_of_integers(orsay_setup, context):
+    suite = orsay_setup[0]
+    message = rf"^context {re.escape(repr(context))} is not a set of integer measurement indices$"
+    with pytest.raises(InvalidDistribution, match=message):
+        validate_distribution({context: F(1)}, suite)
+
+
+def test_validate_distribution_reads_numpy_integer_contexts_as_ints(orsay_setup):
+    suite = orsay_setup[0]
+    dist = validate_distribution({(np.int64(1), np.int64(3)): F(1, 2), (np.int32(2), 4): F(1, 2)}, suite)
+    assert dist.weights == {frozenset({1, 3}): F(1, 2), frozenset({2, 4}): F(1, 2)}
+    assert all(type(i) is int for j in dist.weights for i in j)
+
+
 @pytest.mark.parametrize("weight", [float("inf"), float("nan"), "1/2"])
 def test_validate_distribution_rejects_weights_that_are_not_finite_numbers(orsay_setup, weight):
     suite = orsay_setup[0]
@@ -376,29 +391,54 @@ def test_context_space_rejects_incompatible(orsay_setup):
         context_space({1, 2}, suite)
 
 
-@pytest.mark.parametrize("context, bad", [({0, 3}, 0), ({0}, 0), ({5}, 5), ({-1, 2}, -1)])
+def index_error(bad) -> str:
+    """The message an Orsay suite gives for the bad measurement index `bad`."""
+    if isinstance(bad, int) and not isinstance(bad, bool):
+        return rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
+    return rf"^measurement index {re.escape(repr(bad))} is not an integer$"
+
+
+@pytest.mark.parametrize("context, bad", [
+    ({0, 3}, 0), ({0}, 0), ({5}, 5), ({-1, 2}, -1),
+    ({"A"}, "A"), ({1.0, 3}, 1.0), ({True}, True), ({1, "A"}, "A"), ({np.float64(3)}, np.float64(3)),
+])
 def test_context_space_rejects_an_index_outside_the_suite(orsay_setup, context, bad):
     suite, _ = orsay_setup
-    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
-    with pytest.raises(KolmorepError, match=message) as info:
+    with pytest.raises(KolmorepError, match=index_error(bad)) as info:
         context_space(context, suite)
     assert type(info.value) is KolmorepError
 
 
-@pytest.mark.parametrize("index_set, bad", [({0}, 0), ({5}, 5), ({-1, 2}, -1)])
+@pytest.mark.parametrize("index_set, bad", [
+    ({0}, 0), ({5}, 5), ({-1, 2}, -1), ({1.0}, 1.0), ({"A"}, "A"), ({True}, True), ({np.True_}, np.True_),
+])
 def test_moment_rejects_an_index_outside_the_suite(orsay_setup, index_set, bad):
     suite, _ = orsay_setup
-    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
-    with pytest.raises(KolmorepError, match=message) as info:
+    with pytest.raises(KolmorepError, match=index_error(bad)) as info:
         suite.moment(index_set)
     assert type(info.value) is KolmorepError
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_proj_and_name_of_reject_a_non_integer_index(orsay_setup, bad):
+    suite, _ = orsay_setup
+    for lookup in (suite.proj, suite.name_of):
+        with pytest.raises(KolmorepError, match=index_error(bad)) as info:
+            lookup(bad)
+        assert type(info.value) is KolmorepError
+
+
+def test_numpy_integer_indices_read_as_ints(orsay_setup):
+    suite, _ = orsay_setup
+    assert suite.name_of(np.int64(3)) == suite.name_of(3)
+    assert suite.moment({np.int64(1), np.int32(3)}) == suite.moment({1, 3})
+    assert context_space({np.int64(1), np.int64(3)}, suite) == context_space({1, 3}, suite)
 
 
 @pytest.mark.parametrize("outcomes, switches, bad", [({0}, set(), 0), ({5}, set(), 5), ({1}, {5}, 5)])
 def test_effective_probability_rejects_an_index_outside_the_suite(orsay_setup, outcomes, switches, bad):
     suite, dist = orsay_setup
-    message = rf"^no measurement with index {bad}: the suite has 4, indexed 1\.\.4$"
-    with pytest.raises(KolmorepError, match=message) as info:
+    with pytest.raises(KolmorepError, match=index_error(bad)) as info:
         effective_probability(suite, dist, outcomes, switches)
     assert type(info.value) is KolmorepError
 
@@ -586,6 +626,39 @@ def test_two_disjoint_contexts_mix_by_half():
         local = context_space({i}, suite)
         for pid in local.points:
             assert censored.space.mass[f"{name}|{pid}"] == local.mass[pid] / 2
+
+
+def glued_context_spaces(suite, dist):
+    """Points, masses, outcome and switch events of ``context_space(J)`` glued over the support, kappa_J each."""
+    points, mass = [], {}
+    outcome, switch = ({x: set() for x in suite.names} for _ in range(2))
+    for context in dist.support:
+        local = context_space(context, suite)
+        label = ",".join(suite.name_of(i) for i in sorted(context))
+        ids = [f"{label}|{pid}" for pid in local.points]
+        points += ids
+        mass.update((f"{label}|{pid}", dist.weights[context] * local.mass[pid]) for pid in local.points)
+        for name, hits in local.events.items():
+            outcome[name] |= {f"{label}|{pid}" for pid in hits}
+            switch[name] |= set(ids)
+    return points, mass, outcome, switch
+
+
+def test_build_censored_space_glues_the_context_spaces():
+    rng = random.Random(2207)
+    cfg = orsay.OrsayConfig()
+    cases = [(cfg.suite, cfg.distribution)] + [orsay_case(angles) for angles in GENERIC_ANGLES]
+    cases += [random_censorship_case(rng, n_range=(n, n))[:2] for n in (1, 2, 3, 4, 5)]
+    for suite, dist in cases:
+        censored = build_censored_space(suite, dist)
+        points, mass, outcome, switch = glued_context_spaces(suite, dist)
+        space = censored.space
+        assert space.points == tuple(points)
+        assert [space.mass[p] for p in space.points] == [mass[p] for p in points]
+        assert all(type(space.mass[p]) is Fraction for p in space.points)
+        for x in suite.names:
+            assert space.events[censored.outcome_events[x]] == outcome[x]
+            assert space.events[censored.switch_events[x]] == switch[x]
 
 
 def test_names_that_collide_with_switch_event_keys_are_rejected():
