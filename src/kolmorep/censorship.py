@@ -184,6 +184,13 @@ class SetupDistribution:
 
     weights: Mapping  # frozenset of indices -> Fraction
 
+    def __post_init__(self) -> None:
+        for j, w in self.weights.items():
+            if not isinstance(w, Fraction):
+                raise InvalidDistribution(
+                    f"weight {w!r} on context {sorted(j)} is not a Fraction; build weights with validate_distribution"
+                )
+
     @property
     def support(self) -> tuple:
         return tuple(sorted((j for j, w in self.weights.items() if w > 0), key=sorted))

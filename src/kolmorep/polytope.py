@@ -21,6 +21,7 @@ tolerance enters anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -38,6 +39,13 @@ from .rational import exact_number, scaled
 from .simplex import solve_zero_one_feasibility
 
 
+def _event_index(i) -> int:
+    """An event index as a plain int; a bool or a non-integer raises ``SchemeMismatch`` naming it."""
+    if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+        raise SchemeMismatch(f"event index {i!r} is not an integer")
+    return operator.index(i)
+
+
 @dataclass(frozen=True)
 class ConjunctionScheme:
     """n events and a deduplicated family of non-empty subsets of {1..n}."""
@@ -51,12 +59,16 @@ class ConjunctionScheme:
         for s in self.sets:
             if not isinstance(s, frozenset) or not s:
                 raise SchemeMismatch("scheme members must be non-empty index sets")
-            if not all(isinstance(i, int) and 1 <= i <= self.n for i in s):
+            for i in s:
+                if type(i) is not int:
+                    raise SchemeMismatch(f"event index {i!r} is not a plain int; build schemes with make")
+            if not all(1 <= i <= self.n for i in s):
                 raise SchemeMismatch(f"indices of {sorted(s)} fall outside 1..{self.n}")
 
     @staticmethod
     def make(n: int, sets: Iterable[Iterable[int]]) -> "ConjunctionScheme":
-        return ConjunctionScheme(n, frozenset(frozenset(s) for s in sets))
+        """The scheme of ``sets``, each index read as a plain int; a bool or a non-integer raises."""
+        return ConjunctionScheme(n, frozenset(frozenset(map(_event_index, s)) for s in sets))
 
     @staticmethod
     def singletons(n: int) -> "ConjunctionScheme":

@@ -297,6 +297,13 @@ def test_validate_distribution_reads_finite_floats_exactly(orsay_setup):
     assert dist.weights == {frozenset({1, 3}): F(3, 4), frozenset({2, 4}): F(1, 4)}
 
 
+def test_a_hand_built_distribution_with_float_weights_is_an_invalid_distribution(orsay_setup):
+    suite = orsay_setup[0]
+    message = r"^weight 0\.5 on context \[1, 3\] is not a Fraction; build weights with validate_distribution$"
+    with pytest.raises(InvalidDistribution, match=message):
+        build_censored_space(suite, SetupDistribution({frozenset({1, 3}): 0.5, frozenset({2, 4}): 0.5}))
+
+
 def test_validate_distribution_rejects_incompatible_mass(orsay_setup):
     suite, _ = orsay_setup
     with pytest.raises(IncompatibleSupport):

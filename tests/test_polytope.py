@@ -67,6 +67,26 @@ def test_a_malformed_scheme_is_a_scheme_mismatch(n, sets, message):
         ConjunctionScheme(n, sets)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, "1", None])
+def test_make_rejects_an_event_index_that_is_not_an_integer(bad):
+    with pytest.raises(SchemeMismatch, match=rf"^event index {re.escape(repr(bad))} is not an integer$"):
+        ConjunctionScheme.make(2, [{bad}, {2}])
+
+
+@pytest.mark.parametrize("index", [np.int64(1), np.int32(1), np.uint8(1)])
+def test_make_reads_numpy_integer_indices_as_ints(index):
+    scheme = ConjunctionScheme.make(2, [{index}, {2}])
+    assert scheme == ConjunctionScheme.make(2, [{1}, {2}])
+    assert all(type(i) is int for s in scheme.sets for i in s)
+
+
+@pytest.mark.parametrize("bad", [True, np.int64(1), 1.0])
+def test_a_scheme_index_that_is_not_a_plain_int_is_a_scheme_mismatch(bad):
+    message = rf"^event index {re.escape(repr(bad))} is not a plain int; build schemes with make$"
+    with pytest.raises(SchemeMismatch, match=message):
+        ConjunctionScheme(2, frozenset({frozenset({bad}), frozenset({2})}))
+
+
 @pytest.mark.parametrize("values, message", [
     ({frozenset({1}): F(1, 2)}, "^vector values must cover the scheme's sets exactly$"),
     ({frozenset({1}): F(1, 2), frozenset({2}): 0.5}, "^vector values must be Fractions$"),

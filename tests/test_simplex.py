@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -291,3 +292,32 @@ def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
             assert_plain_fractions(res)
             switched += calls[0] is False and calls[-1] is True
     assert switched > 0
+
+
+def test_running_bound_never_undercounts_the_int64_peak(monkeypatch):
+    # The guard sees a running bound, not a scan; on every int64 iteration it
+    # must cover the caller's tableau. A pivot keeping the basis determinant
+    # takes the unimodular update, any other the full Bareiss update.
+    guard = simplex._needs_object
+    last = []  # (basis, det) of the current solve's latest int64 iteration
+    steps = {"unimodular": 0, "general": 0}
+
+    def spy(m, peak):
+        caller = sys._getframe(1).f_locals
+        tab = caller.get("tab")
+        if tab is None:  # the start-up call, before the tableau exists
+            last.clear()
+        elif tab.dtype != object:
+            assert peak >= abs(tab).max()
+            basis, det = tuple(caller["basis"]), caller["det"]
+            if last and last[0] != basis:  # one pivot since the last iteration
+                steps["unimodular" if det == last[1] else "general"] += 1
+            last[:] = [basis, det]
+        return guard(m, peak)
+
+    monkeypatch.setattr(simplex, "_needs_object", spy)
+    rng = random.Random(5)
+    systems = corpus() + [(5, pair_scheme_rows(rng, 5, nudge=k % 2 == 1)) for k in range(6)]
+    for n, rows in systems + [(8, orsay_rows())]:
+        solve_zero_one_feasibility(n, rows)
+    assert steps["unimodular"] > 0 and steps["general"] > 0, steps
