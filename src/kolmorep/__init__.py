@@ -44,6 +44,7 @@ from .polytope import (
     Inside,
     KolmogorovSpace,
     Outside,
+    Proposal,
     certificate_is_valid,
     evaluate,
     membership,

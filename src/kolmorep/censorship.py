@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -49,12 +49,14 @@ from .errors import (
 )
 from . import lattice
 from .lattice import INT64_MAX
-from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace
+from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, Proposal
 from .quantum import Operator, born, commutes
 from .rational import DEFAULT_POLICY, RationalizationPolicy, exact_number, rationalize, scaled
 
 SWITCH_EVENT_PREFIX = "performed:"
 MAX_COMPARED = 1 << 22  # integers compared in one verification pass: 32 MB of int64
+# Every zero switch probability is this one object: effective vectors hold many zeros.
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -225,14 +227,15 @@ def validate_distribution(weights: Mapping, suite: MeasurementSuite) -> SetupDis
 def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fraction:
     """Probability that every switch in the set is on: total weight of covering contexts."""
     wanted = frozenset(index_set)
-    return sum((w for j, w in dist.weights.items() if wanted <= j and w > 0), Fraction(0))
+    return sum((w for j, w in dist.weights.items() if wanted <= j and w > 0), _ZERO)
 
 
 def _context_atoms(context: Iterable[int], suite: MeasurementSuite) -> tuple:
-    """Member names, common denominator and integer atoms of one context, from all hits down to all misses.
+    """Names, common denominator, hit masks and integer atoms of one context, from all hits down to all misses.
 
     The atom whose hits are S (misses the rest of J) is sum_{S <= T <= J} (-1)^|T - S| m_T, inverted on the
-    moments' numerators. A negative atom means they admit no distribution: a numerical failure, never clamped.
+    moments' numerators; its hit mask is S as a suite bitmask. A negative atom means the moments admit no
+    distribution: a numerical failure, never clamped.
     """
     members = sorted(frozenset(map(_index, context)))
     if not members:
@@ -255,7 +258,7 @@ def _context_atoms(context: Iterable[int], suite: MeasurementSuite) -> tuple:
             f"context {names} has a negative atom {Fraction(min(atoms), den)}: "
             "its rationalized moments admit no distribution"
         )
-    return names, den, atoms[::-1]
+    return names, den, masks[::-1], atoms[::-1]
 
 
 def context_space(context: Iterable[int], suite: MeasurementSuite) -> KolmogorovSpace:
@@ -264,7 +267,7 @@ def context_space(context: Iterable[int], suite: MeasurementSuite) -> Kolmogorov
     The masses sum to m_empty = 1 exactly and every marginal is exactly the moment of its hits, so contexts
     agree wherever they overlap. Masses may have denominators above the suite policy's bound.
     """
-    names, den, atoms = _context_atoms(context, suite)
+    names, den, _, atoms = _context_atoms(context, suite)
     ids, hits = _outcome_points(len(names))
     return KolmogorovSpace(ids, {pid: Fraction(atom, den) for pid, atom in zip(ids, atoms)}, dict(zip(names, hits)))
 
@@ -333,7 +336,7 @@ def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> Ce
         label = ",".join(names)
         if labelled.setdefault(label, names) is not names:
             raise KolmorepError(f"contexts {labelled[label]} and {names} share the point label {label!r}")
-        _, den, atoms = _context_atoms(context, suite)
+        _, den, _, atoms = _context_atoms(context, suite)
         kappa = dist.weights[context]
         ids, hits = _outcome_points(len(names))
         full_ids = {pid: f"{label}|{pid}" for pid in ids}
@@ -510,12 +513,37 @@ class EffectiveVector:
         raise SchemeMismatch(f"event index {index} outside 1..{2 * n}")
 
 
+def _censored_proposal(suite: MeasurementSuite, dist: SetupDistribution) -> Proposal:
+    """The censored space's weights on 2n-bit assignments, in integers over one denominator.
+
+    Point (J, eps) sets switch bits J (shifted up by n) and outcome bits eps, as in
+    ``effective_decomposition``; its numerator is kappa_J times its ``_context_atoms`` atom
+    over the common denominator. Points with a zero atom are left out.
+    """
+    n = suite.n
+    kden, kappas = scaled([dist.weights[j] for j in dist.support])
+    contexts = [_context_atoms(j, suite)[1:] for j in dist.support]
+    common = lcm(*(den for den, _, _ in contexts))
+    masks, numerators = [], []
+    for j, kappa, (den, hits, atoms) in zip(dist.support, kappas, contexts):
+        switch, scale = lattice.mask(j) << n, kappa * (common // den)
+        for hit, atom in zip(hits, atoms):
+            if atom:
+                masks.append(switch | hit)
+                numerators.append(scale * atom)
+    return Proposal(kden * common, tuple(masks), tuple(numerators))
+
+
 def assemble_effective_vector(
     suite: MeasurementSuite, dist: SetupDistribution, scheme: ConjunctionScheme
 ) -> EffectiveVector:
     """Fill a scheme over the 2n outcome/switch events with effective probabilities.
 
-    Each entry is ``effective_probability`` of its outcome and switch sets.
+    Each entry is ``effective_probability`` of its outcome and switch sets. The
+    vector's proposal is the censored space's decomposition (``_censored_proposal``),
+    which ``membership`` checks before any linear program runs. A support
+    context without atoms leaves the vector without one: its measurements do not
+    commute (a hand-built distribution) or its moments give a negative atom.
     """
     n = suite.n
     if scheme.n != 2 * n:
@@ -524,4 +552,8 @@ def assemble_effective_vector(
         s: effective_probability(suite, dist, (i for i in s if i <= n), (i - n for i in s if i > n))
         for s in scheme.sets
     }
-    return EffectiveVector(CorrelationVector(scheme, values), suite.names)
+    try:
+        proposal = _censored_proposal(suite, dist)
+    except (IncompatibleContext, NumericalFailure):
+        proposal = None
+    return EffectiveVector(CorrelationVector(scheme, values, proposal), suite.names)

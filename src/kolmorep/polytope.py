@@ -10,12 +10,16 @@ constructive:
 
 * Inside verdicts carry a convex decomposition over assignments, which
   ``representation_from_weights`` turns into an explicit probability space.
+  A vector may carry a ``Proposal`` of such a decomposition (an effective
+  vector carries its censored space's); ``membership`` checks it exactly
+  and returns it only if it reproduces every value.
 * Outside verdicts carry an affine functional that is non-positive on every
   vertex but positive on the tested vector; ``certificate_is_valid``
   re-checks it on all 2^n assignments with one subset-sum pass.
 
-Decisions are exact over the rationals (phase-1 simplex, Bland's rule); no
-tolerance enters anywhere in this module.
+Decisions are exact over the rationals: a checked proposal, a quick
+separation, or the phase-1 simplex under Bland's rule. No tolerance enters
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,10 +43,10 @@ from .rational import exact_number, scaled
 from .simplex import solve_zero_one_feasibility
 
 
-def _event_index(i) -> int:
-    """An event index as a plain int; a bool or a non-integer raises ``SchemeMismatch`` naming it."""
+def _event_index(i, what: str = "event index") -> int:
+    """An event index (or count) as a plain int; a bool or a non-integer raises ``SchemeMismatch`` naming it."""
     if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
-        raise SchemeMismatch(f"event index {i!r} is not an integer")
+        raise SchemeMismatch(f"{what} {i!r} is not an integer")
     return operator.index(i)
 
 
@@ -54,6 +58,8 @@ class ConjunctionScheme:
     sets: frozenset
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise SchemeMismatch(f"event count {self.n!r} is not a plain int; build schemes with make")
         if self.n < 1:
             raise SchemeMismatch("scheme needs at least one event")
         for s in self.sets:
@@ -67,11 +73,13 @@ class ConjunctionScheme:
 
     @staticmethod
     def make(n: int, sets: Iterable[Iterable[int]]) -> "ConjunctionScheme":
-        """The scheme of ``sets``, each index read as a plain int; a bool or a non-integer raises."""
+        """The scheme of ``sets``, n and each index read as a plain int; a bool or a non-integer raises."""
+        n = _event_index(n, "event count")
         return ConjunctionScheme(n, frozenset(frozenset(map(_event_index, s)) for s in sets))
 
     @staticmethod
     def singletons(n: int) -> "ConjunctionScheme":
+        n = _event_index(n, "event count")
         return ConjunctionScheme.make(n, ({i} for i in range(1, n + 1)))
 
     def sorted_sets(self) -> list:
@@ -79,12 +87,31 @@ class ConjunctionScheme:
         return sorted(self.sets, key=lambda s: (len(s), sorted(s)))
 
 
+class Proposal(NamedTuple):
+    """A proposed Inside decomposition in integers: weight ``numerators[k] / denominator`` on ``masks[k]``.
+
+    A mask is an assignment's bits (bit i - 1 for event i). Nothing is checked
+    here; ``membership`` decides whether the proposal reproduces its vector.
+    A named tuple rather than a dataclass: it is built with every effective
+    vector, and costs less memory and import time.
+    """
+
+    denominator: int
+    masks: tuple
+    numerators: tuple
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
-    """A value for every conjunction in the scheme. Values may leave [0, 1]."""
+    """A value for every conjunction in the scheme. Values may leave [0, 1].
+
+    ``proposal`` is an optional Inside witness for ``membership`` to check. It
+    takes no part in equality and is not serialized.
+    """
 
     scheme: ConjunctionScheme
     values: Mapping
+    proposal: Optional[Proposal] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = frozenset(self.values.keys())
@@ -177,6 +204,31 @@ def _quick_separation(p: CorrelationVector, order: list, masks: list) -> Outside
     return None
 
 
+def _checked_proposal(p: CorrelationVector, order: list, masks: list) -> Inside | None:
+    """The vector's proposal as an Inside verdict if it has one that reproduces the vector exactly, else None.
+
+    The numerators must be positive ints summing to the denominator, on
+    distinct masks of n bits, and for every scheme set the numerators of the
+    masks containing it must sum to the set's value, compared by
+    cross-multiplication. That costs support x sets and no 2^n array.
+    """
+    if p.proposal is None:
+        return None
+    n, (den, support, numerators) = p.scheme.n, p.proposal
+    if type(den) is not int or den < 1 or len(support) != len(numerators) or len(set(support)) != len(support):
+        return None
+    if not all(type(m) is int and 0 <= m < 1 << n for m in support):
+        return None
+    if not all(type(w) is int and w > 0 for w in numerators) or sum(numerators) != den:
+        return None
+    weighted = list(zip(support, numerators))
+    for s, mask in zip(order, masks):
+        value = p.values[s]
+        if sum(w for m, w in weighted if m & mask == mask) * value.denominator != value.numerator * den:
+            return None
+    return Inside({lattice.bits(m, n): Fraction(w, den) for m, w in sorted(weighted)})
+
+
 def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     """Exact polytope membership with a witness either way.
 
@@ -184,6 +236,10 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     (boundary included); the returned weights reproduce the vector exactly.
     Outside returns a separating functional. ``n_max`` guards the 2^n column
     count; raise it explicitly for patient large runs.
+
+    A vector's ``proposal`` is checked exactly on every call and returned as
+    the Inside verdict when it reproduces the vector. Otherwise, or without
+    one, quick separation and then the phase-1 simplex decide.
     """
     n = p.scheme.n
     if n > n_max:
@@ -191,7 +247,7 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
 
     order = p.scheme.sorted_sets()
     masks = [lattice.mask(s) for s in order]
-    quick = _quick_separation(p, order, masks)
+    quick = _checked_proposal(p, order, masks) or _quick_separation(p, order, masks)
     if quick is not None:
         return quick
 

@@ -1,10 +1,12 @@
 import inspect
+import json
 import random
 import re
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
-from math import cos, radians
+from math import cos, pi, radians
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from kolmorep import (
     MeasurementSuite,
     NumericalFailure,
     Operator,
+    Outside,
     RationalizationPolicy,
     SchemeMismatch,
     TooLarge,
@@ -28,6 +31,7 @@ from kolmorep import (
     assemble_effective_vector,
     born,
     build_censored_space,
+    certificate_is_valid,
     commutes,
     compute_compatibility,
     context_space,
@@ -40,11 +44,18 @@ from kolmorep import (
     validate_distribution,
     verify_censorship,
 )
-from kolmorep import censorship, simulation
+from kolmorep import censorship, lattice, polytope, simulation
 from kolmorep.censorship import CensoredSpace, SetupDistribution
-from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
+from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace, Proposal
 from kolmorep import orsay
-from kolmorep.serialize import distribution_from_json, suite_from_json, suite_to_json
+from kolmorep.quantum import direction, identity, singlet_density, spin_projector_up, tensor
+from kolmorep.serialize import (
+    distribution_from_json,
+    suite_from_json,
+    suite_to_json,
+    vector_from_json,
+    vector_to_json,
+)
 
 from helpers import random_censorship_case, random_diagonal_suite, random_setup, random_suite
 from reference_censorship import verify_censorship as reference_verify
@@ -1134,6 +1145,129 @@ def test_effective_decomposition_reproduces_the_effective_vector():
         assert all(w > 0 and len(bits) == 2 * suite.n for bits, w in decomposition.weights.items())
         eff = assemble_effective_vector(suite, dist, pairs_and_singletons(2 * suite.n))
         assert decomposition_reproduces(decomposition, eff.vector)
+
+
+# --- the censored proposal ----------------------------------------------------------------
+
+def proposal_weights(vector):
+    proposal, n = vector.proposal, vector.scheme.n
+    return {lattice.bits(m, n): F(w, proposal.denominator) for m, w in zip(proposal.masks, proposal.numerators)}
+
+
+def test_the_proposal_is_the_censored_spaces_decomposition():
+    cases = [(suite, dist) for suite, dist, _oracle in random_cases()]
+    cases += [orsay_case(angles) for angles in (orsay.DEFAULT_ANGLES_DEG, *GENERIC_ANGLES)]
+    for suite, dist in cases:
+        eff = assemble_effective_vector(suite, dist, pairs_and_singletons(2 * suite.n))
+        decomposition = effective_decomposition(build_censored_space(suite, dist), suite)
+        assert proposal_weights(eff.vector) == decomposition.weights
+        assert membership(eff.vector) == decomposition
+
+
+def spy_simplex(monkeypatch):
+    """Count the simplex runs that membership makes."""
+    calls = []
+    solve = polytope.solve_zero_one_feasibility
+    monkeypatch.setattr(polytope, "solve_zero_one_feasibility", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+def moved_unit(p, to=None):
+    """One unit of the largest numerator moved to the next point, or to a new entry on mask `to`."""
+    i = p.numerators.index(max(p.numerators))
+    numerators = list(p.numerators)
+    numerators[i] -= 1
+    if to is not None:
+        return p._replace(masks=p.masks + (to,), numerators=(*numerators, 1))
+    numerators[(i + 1) % len(numerators)] += 1
+    return p._replace(numerators=tuple(numerators))
+
+
+def with_first(p, mask=None, numerator=None):
+    """The proposal with its first mask or numerator replaced, the denominator kept equal to the sum."""
+    masks = (p.masks[0] if mask is None else mask,) + p.masks[1:]
+    numerators = (p.numerators[0] if numerator is None else numerator,) + p.numerators[1:]
+    return Proposal(sum(numerators), masks, numerators)
+
+
+# Orsay's support never has mask 0 (no switch on) or 255 (every switch on). The zero numerator,
+# the extra weight on mask 0, the bit above n and the split weight leave every vector value right.
+CORRUPTIONS = {
+    "one numerator changed": moved_unit,
+    "one mask moved to an assignment outside the support": lambda p: with_first(p, mask=(1 << 8) - 1),
+    "a zero numerator": lambda p: p._replace(masks=p.masks + ((1 << 8) - 1,), numerators=p.numerators + (0,)),
+    "a negative numerator": lambda p: with_first(p, numerator=-p.numerators[0]),
+    "numerators that do not sum to the denominator": lambda p: p._replace(
+        masks=p.masks + (0,), numerators=p.numerators + (1,)),
+    "a mask with a bit above n": lambda p: with_first(p, mask=p.masks[0] | 1 << 8),
+    "one mask listed twice": lambda p: moved_unit(p, to=p.masks[p.numerators.index(max(p.numerators))]),
+    "an empty proposal": lambda p: Proposal(0, (), ()),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_a_corrupted_proposal_is_rejected_and_the_simplex_decides(monkeypatch, corrupt):
+    vector = orsay.effective_vector(orsay.OrsayConfig()).vector
+    calls = spy_simplex(monkeypatch)
+    assert membership(vector) == Inside(proposal_weights(vector)) and not calls
+    broken = replace(vector, proposal=corrupt(vector.proposal))
+    assert broken.proposal != vector.proposal
+    verdict = membership(broken)
+    assert len(calls) == 1
+    assert isinstance(verdict, Inside) and decomposition_reproduces(verdict, vector)
+
+
+def singlet_suite(k):
+    """The singlet with spin-up measurements A_j at angle j pi / k on the left and B_j at (j + 1/2) pi / k on the right."""
+    eye = identity(2)
+    left = [(f"A{j}", tensor(spin_projector_up(direction(j * pi / k)), eye)) for j in range(k)]
+    right = [(f"B{j}", tensor(eye, spin_projector_up(direction((j + 0.5) * pi / k)))) for j in range(k)]
+    return MeasurementSuite.make(singlet_density(), left + right)
+
+
+def test_the_k4_singlet_effective_vector_decides_inside_without_the_simplex(monkeypatch):
+    k = 4
+    suite = singlet_suite(k)
+    contexts = {frozenset({i, k + j}): F(1, k * k) for i in range(1, k + 1) for j in range(1, k + 1)}
+    dist = validate_distribution(contexts, suite)
+    eff = assemble_effective_vector(suite, dist, pairs_and_singletons(4 * k))
+
+    def refuse(*args):
+        raise AssertionError("the simplex ran")
+    monkeypatch.setattr(polytope, "solve_zero_one_feasibility", refuse)
+    start = time.perf_counter()
+    verdict = membership(eff.vector)
+    assert time.perf_counter() - start < 0.1
+    assert isinstance(verdict, Inside) and decomposition_reproduces(verdict, eff.vector)
+    assert len(verdict.weights) == 4 * k * k
+
+
+def test_a_json_round_trip_drops_the_proposal_and_equality_ignores_it():
+    vector = orsay.effective_vector(orsay.OrsayConfig()).vector
+    assert vector.proposal is not None
+    again = vector_from_json(json.loads(json.dumps(vector_to_json(vector))))
+    assert again.proposal is None and again == vector
+    assert replace(vector, proposal=moved_unit(vector.proposal)) == vector
+
+
+def test_a_context_without_atoms_leaves_the_vector_without_a_proposal(orsay_setup):
+    suite, _ = orsay_setup
+    # A and A' do not commute; a hand-built distribution is not checked for that.
+    eff = assemble_effective_vector(suite, SetupDistribution({frozenset({1, 2}): F(1)}), pairs_and_singletons(8))
+    assert eff.vector.proposal is None
+    assert isinstance(membership(eff.vector), Inside)
+
+    # Moments 0.6, 0.6 and 0.2 read as 1, 1 and 0 give the both-miss atom -1: no proposal, and the
+    # effective vector breaks p1 + p2 - p12 <= 1.
+    density = Operator(np.diag([0.4, 0.2, 0.4]), tags=("density",))
+    projectors = [Operator(np.diag(d), tags=("projector",)) for d in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0])]
+    policy = RationalizationPolicy(tolerance=0.45, max_denominator=1)
+    suite = MeasurementSuite.make(density, zip(("M1", "M2"), projectors), policy)
+    dist = validate_distribution({frozenset({1, 2}): F(1)}, suite)
+    eff = assemble_effective_vector(suite, dist, pairs_and_singletons(4))
+    assert eff.vector.proposal is None
+    verdict = membership(eff.vector)
+    assert isinstance(verdict, Outside) and certificate_is_valid(eff.vector, verdict)
 
 
 def test_effective_decomposition_of_orsay_lists_the_sixteen_atoms(orsay_setup):

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from kolmorep import (
     InvalidDistribution,
     KolmogorovSpace,
     Outside,
+    Proposal,
     SchemeMismatch,
     TooLarge,
     UnknownEvent,
@@ -23,7 +25,7 @@ from kolmorep import (
     representation_from_weights,
     vertex,
 )
-from kolmorep import lattice
+from kolmorep import lattice, polytope
 from kolmorep.simplex import solve_zero_one_feasibility
 
 F = Fraction
@@ -85,6 +87,27 @@ def test_a_scheme_index_that_is_not_a_plain_int_is_a_scheme_mismatch(bad):
     message = rf"^event index {re.escape(repr(bad))} is not a plain int; build schemes with make$"
     with pytest.raises(SchemeMismatch, match=message):
         ConjunctionScheme(2, frozenset({frozenset({bad}), frozenset({2})}))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, 1.5, "2", None])
+def test_make_rejects_an_event_count_that_is_not_an_integer(bad):
+    with pytest.raises(SchemeMismatch, match=rf"^event count {re.escape(repr(bad))} is not an integer$"):
+        ConjunctionScheme.make(bad, [{1}])
+    with pytest.raises(SchemeMismatch, match=rf"^event count {re.escape(repr(bad))} is not an integer$"):
+        ConjunctionScheme.singletons(bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.int64(2), 2.0])
+def test_a_scheme_event_count_that_is_not_a_plain_int_is_a_scheme_mismatch(bad):
+    message = rf"^event count {re.escape(repr(bad))} is not a plain int; build schemes with make$"
+    with pytest.raises(SchemeMismatch, match=message):
+        ConjunctionScheme(bad, frozenset({frozenset({1})}))
+
+
+def test_make_reads_a_numpy_integer_event_count_as_an_int():
+    scheme = ConjunctionScheme.make(np.int64(2), [{1}, {2}])
+    assert scheme == ConjunctionScheme.make(2, [{1}, {2}])
+    assert type(scheme.n) is int
 
 
 @pytest.mark.parametrize("values, message", [
@@ -298,6 +321,33 @@ def test_certificate_check_runs_on_python_ints_past_int64(monkeypatch):
     assert certificate_is_valid(p, valid) and brute_force_valid(p, valid)
     assert not certificate_is_valid(p, broken) and not brute_force_valid(p, broken)
     assert dtypes == [object, object]
+
+
+def no_simplex(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the simplex ran")
+    monkeypatch.setattr(polytope, "solve_zero_one_feasibility", refuse)
+
+
+def test_a_proposal_that_reproduces_its_vector_is_the_inside_verdict(monkeypatch):
+    scheme = pair_scheme(3)
+    weights = {(1, 0, 1): F(1, 3), (0, 1, 1): F(1, 6), (0, 0, 0): F(1, 2)}
+    masks = [lattice.mask(i + 1 for i, b in enumerate(bits) if b) for bits in weights]
+    proposal = Proposal(6, tuple(masks), tuple(int(w * 6) for w in weights.values()))
+    p = replace(mixture(scheme, weights.items()), proposal=proposal)
+    no_simplex(monkeypatch)
+    verdict = membership(p)
+    assert isinstance(verdict, Inside) and verdict.weights == weights
+    assert list(verdict.weights) == [(0, 0, 0), (1, 0, 1), (0, 1, 1)]  # by mask, as the simplex lists them
+
+
+def test_a_proposal_never_makes_an_outside_vector_inside():
+    # p1 = p2 = 1 with p12 = 1/2 breaks the pair atom; the proposal gets p1 and p2 right and p12 wrong.
+    scheme = ConjunctionScheme.make(2, [{1}, {2}, {1, 2}])
+    p = CorrelationVector(scheme, {frozenset({1}): F(1), frozenset({2}): F(1), frozenset({1, 2}): F(1, 2)},
+                          Proposal(1, (0b11,), (1,)))
+    verdict = membership(p)
+    assert isinstance(verdict, Outside) and certificate_is_valid(p, verdict)
 
 
 # --- spaces ---------------------------------------------------------------------
