@@ -182,7 +182,11 @@ def compute_compatibility(suite: MeasurementSuite) -> MeasurementSuite:
 
 @dataclass(frozen=True)
 class SetupDistribution:
-    """Classical switch weights over compatible contexts."""
+    """Classical switch weights over compatible contexts: non-negative Fractions summing to one.
+
+    Whether the contexts fit a suite is ``validate_distribution``'s check;
+    ``effective_probability`` still refuses indices outside the suite.
+    """
 
     weights: Mapping  # frozenset of indices -> Fraction
 
@@ -192,10 +196,20 @@ class SetupDistribution:
                 raise InvalidDistribution(
                     f"weight {w!r} on context {sorted(j)} is not a Fraction; build weights with validate_distribution"
                 )
+            if w < 0:
+                raise InvalidDistribution(f"negative weight {w} on context {sorted(j)}")
+        if sum(self.weights.values(), _ZERO) != 1:
+            raise InvalidDistribution("context weights must sum to one")
 
     @property
     def support(self) -> tuple:
         return tuple(sorted((j for j, w in self.weights.items() if w > 0), key=sorted))
+
+    @cached_property
+    def index_range(self) -> tuple:
+        """The least and the greatest index that a supported context names, found once per distribution."""
+        indices = frozenset().union(*self.support)
+        return min(indices, default=1), max(indices, default=1)
 
 
 def validate_distribution(weights: Mapping, suite: MeasurementSuite) -> SetupDistribution:
@@ -219,9 +233,7 @@ def validate_distribution(weights: Mapping, suite: MeasurementSuite) -> SetupDis
                 f"context {sorted(j)} carries weight {w} but its measurements do not commute"
             )
         cleaned[j] = w
-    if sum(cleaned.values(), Fraction(0)) != 1:
-        raise InvalidDistribution("context weights must sum to one")
-    return SetupDistribution(cleaned)
+    return SetupDistribution(cleaned)  # which checks that the weights sum to one
 
 
 def switch_probability(dist: SetupDistribution, index_set: Iterable[int]) -> Fraction:
@@ -290,11 +302,18 @@ def effective_probability(
 
     The switch part must cover both sets: seeing an outcome presupposes that
     its measurement ran. Incompatible requirements give zero: no supported
-    context can host them, so no weight covers them.
+    context can host them, so no weight covers them. An index outside 1..n,
+    asked for or named by a supported context, raises.
     """
     i1 = frozenset(outcomes)
     union = i1 | frozenset(switches)
     suite._mask_of(union)  # indices outside 1..n raise, as in proj
+    low, high = dist.index_range
+    if low < 1 or high > suite.n:
+        raise InvalidDistribution(
+            f"a supported context names measurement {high if high > suite.n else low}, "
+            f"outside the suite's 1..{suite.n}"
+        )
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior

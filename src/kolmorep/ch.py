@@ -4,8 +4,9 @@ For four events where only the cross pairs {1,3}, {1,4}, {2,3}, {2,4} carry
 joint values, membership in the classical polytope is equivalent to the
 Clauser-Horne system: the trivial range and monotonicity bounds per measured
 pair, and four Bell-type bounds between -1 and 0. The system is one table of
-rows, each with integer coefficients on the scheme's sets; the four Bell rows
-are the images of one Bell line under the side swaps, all evaluated.
+rows, each with integer coefficients on the scheme's sets. The per-pair rows
+are ``polytope.PAIR_ROWS``, which membership's exact checks read too; the four
+Bell rows are the images of one Bell line under the side swaps, all evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cache
 from typing import Optional
 
 from .errors import SchemeMismatch
-from .polytope import ConjunctionScheme, CorrelationVector
+from .polytope import PAIR_ROWS, ConjunctionScheme, CorrelationVector
 from .rational import scaled
 
 CROSS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -31,24 +32,22 @@ _SIDE_SWAPS = ({}, {1: 2, 2: 1}, {3: 4, 4: 3}, {1: 2, 2: 1, 3: 4, 4: 3})
 @cache
 def _rows() -> tuple:
     """The system's rows (label, integer coefficients on ``_SETS``, lower, upper) in report order, built once."""
-    zero, one = Fraction(0), Fraction(1)
     rows = []
     for i, j in CROSS_PAIRS:
-        ij = f"p{i}{j}"
-        rows += [
-            (f"{ij} >= 0", {(i, j): 1}, zero, None),
-            (f"{ij} <= p{i}", {(i,): 1, (i, j): -1}, zero, None),
-            (f"{ij} <= p{j}", {(j,): 1, (i, j): -1}, zero, None),
-            (f"p{i} <= 1", {(i,): 1}, None, one),
-            (f"p{j} <= 1", {(j,): 1}, None, one),
-            (f"p{i} + p{j} - {ij} <= 1", {(i,): 1, (j,): 1, (i, j): -1}, None, one),
-        ]
+        # The pair rows that membership's checks share, on ({i}, {j}, {i, j}).
+        for label, coefficients, lower, upper in PAIR_ROWS:
+            terms = dict(zip(((i,), (j,), (i, j)), coefficients))
+            rows.append((label.format(i=i, j=j), terms, _bound(lower), _bound(upper)))
     for k, swap in enumerate(_SIDE_SWAPS, start=1):
         terms = [(tuple(swap.get(i, i) for i in s), c) for s, c in _BELL]
         expr = " ".join(f"{'+' if c > 0 else '-'} p{''.join(map(str, s))}" for s, c in terms).removeprefix("+ ")
-        rows.append((f"bell{k}: -1 <= {expr} <= 0", dict(terms), -one, zero))
+        rows.append((f"bell{k}: -1 <= {expr} <= 0", dict(terms), Fraction(-1), Fraction(0)))
     # A row repeats whole (p1 <= 1 comes with two pairs) and keeps its first place.
     return tuple(dict.fromkeys((label, tuple(t.get(s, 0) for s in _SETS), lo, up) for label, t, lo, up in rows))
+
+
+def _bound(b: Optional[int]) -> Optional[Fraction]:
+    return None if b is None else Fraction(b)
 
 
 @cache

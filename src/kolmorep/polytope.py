@@ -17,9 +17,12 @@ constructive:
   vertex but positive on the tested vector; ``certificate_is_valid``
   re-checks it on all 2^n assignments with one subset-sum pass.
 
-Decisions are exact over the rationals: a checked proposal, a quick
-separation, or the phase-1 simplex under Bland's rule. No tolerance enters
-anywhere in this module.
+Decisions are exact over the rationals and run in a fixed order: a checked
+proposal, quick separation (range and monotonicity), the Bell–Boole facets of
+every complete pair and triple (Pitowsky, "Correlation polytopes: their
+geometry and complexity", Math. Programming 50, 1991), and only then the
+phase-1 simplex under Bland's rule. No tolerance enters anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +52,88 @@ def _event_index(i, what: str = "event index") -> int:
     if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
         raise SchemeMismatch(f"{what} {i!r} is not an integer")
     return operator.index(i)
+
+
+# The rows of a pair {i, j} on (p_i, p_j, p_ij): a label template, coefficients, and a lower and an upper
+# bound. The first five are range and monotonicity, which quick separation checks; the last is the pair
+# atom p_i + p_j - p_ij <= 1, the facet table's first family. ``ch`` lists all six for its cross pairs.
+PAIR_ROWS = (
+    ("p{i}{j} >= 0", (0, 0, 1), 0, None),
+    ("p{i}{j} <= p{i}", (1, 0, -1), 0, None),
+    ("p{i}{j} <= p{j}", (0, 1, -1), 0, None),
+    ("p{i} <= 1", (1, 0, 0), None, 1),
+    ("p{j} <= 1", (0, 1, 0), None, 1),
+    ("p{i} + p{j} - p{i}{j} <= 1", (1, 1, -1), None, 1),
+)
+_PAIR_ATOM = np.array(PAIR_ROWS[-1][1], dtype=np.int64)
+
+# The Bell–Boole rows of a triple i < j < k on (p_i, p_j, p_k, p_ij, p_ik, p_jk), each as coefficients
+# and an upper bound: p_i + p_j + p_k - p_ij - p_ik - p_jk <= 1, then p_ij + p_ik - p_jk <= p_i and its
+# two rotations. Under the covariance map they are the triangle inequalities of the cut polytope.
+TRIANGLE_ROWS = (
+    ((1, 1, 1, -1, -1, -1), 1),
+    ((-1, 0, 0, 1, 1, -1), 0),
+    ((0, -1, 0, 1, -1, 1), 0),
+    ((0, 0, -1, -1, 1, 1), 0),
+)
+_TRIANGLE_COEFFICIENTS = np.array([c for c, _ in TRIANGLE_ROWS], dtype=np.int64).T
+
+
+class Gathers(NamedTuple):
+    """Positions in a scheme's order that membership's vectorised checks gather.
+
+    ``below[k]`` and ``above[k]`` are the positions of the k-th proper-subset
+    pair of sets. ``pairs`` holds the positions of ({i}, {j}, {i, j}) for
+    every pair whose three sets are all in the scheme, and ``triples`` those
+    of ({i}, {j}, {k}, {i, j}, {i, k}, {j, k}) for every triple whose six
+    sets are, both in lexicographic order.
+    """
+
+    below: np.ndarray
+    above: np.ndarray
+    pairs: np.ndarray
+    triples: np.ndarray
+
+
+class SchemeLayout:
+    """What presentation and membership read of a scheme, kept with it as ``ConjunctionScheme.layout``.
+
+    ``order`` lists the sets by size, then lexicographically, and ``masks``
+    their bitmasks. ``gathers`` is built on first use, so a vector that is
+    only listed, or that its proposal decides, never builds it.
+    """
+
+    def __init__(self, scheme: "ConjunctionScheme") -> None:
+        self.n = scheme.n
+        self.order = tuple(sorted(scheme.sets, key=lambda s: (len(s), sorted(s))))
+        self.masks = tuple(map(lattice.mask, self.order))
+
+    @cached_property
+    def gathers(self) -> Gathers:
+        n = self.n
+        # a is a proper subset of b when mask_a & ~mask_b == 0 and a != b; sorted by size, a comes first,
+        # and nonzero lists the pairs by a, then by b.
+        bits = np.array(self.masks, dtype=np.int64 if n < 63 else object)
+        subset = (bits[:, None] & ~bits) == 0
+        np.fill_diagonal(subset, False)
+        below, above = np.nonzero(subset)
+        # Complete pairs by their two bits, in the order's lexicographic order, each with the positions of
+        # {i}, {j} and {i, j}; then every j's complete partners k > j, in increasing order.
+        at = dict(zip(self.masks, range(len(self.masks))))
+        pairs, partners = {}, {}
+        for mask, k in at.items():
+            low = mask & -mask
+            high = mask ^ low
+            if high and not high & (high - 1) and low in at and high in at:
+                pairs[low, high] = (at[low], at[high], k)
+                partners.setdefault(low, []).append(high)
+        triples = [
+            (i, j, pairs[b, c][1], ab, pairs[a, c][2], pairs[b, c][2])
+            for (a, b), (i, j, ab) in pairs.items() for c in partners.get(b, ()) if (a, c) in pairs
+        ]
+        pairs = np.array(list(pairs.values()), dtype=np.intp).reshape(-1, 3)
+        triples = np.array(triples, dtype=np.intp).reshape(-1, 6)
+        return Gathers(below, above, pairs, triples)
 
 
 @dataclass(frozen=True)
@@ -82,9 +168,10 @@ class ConjunctionScheme:
         n = _event_index(n, "event count")
         return ConjunctionScheme.make(n, ({i} for i in range(1, n + 1)))
 
-    def sorted_sets(self) -> list:
-        """Deterministic presentation order: by size, then lexicographically."""
-        return sorted(self.sets, key=lambda s: (len(s), sorted(s)))
+    @cached_property
+    def layout(self) -> SchemeLayout:
+        """The scheme's ``SchemeLayout``, built on first use and kept with the scheme."""
+        return SchemeLayout(self)
 
 
 class Proposal(NamedTuple):
@@ -127,7 +214,7 @@ class CorrelationVector:
         return self.values[key]
 
     def items(self) -> list:
-        return [(s, self.values[s]) for s in self.scheme.sorted_sets()]
+        return [(s, self.values[s]) for s in self.scheme.layout.order]
 
 
 def vertex(bits: Sequence[int], scheme: ConjunctionScheme) -> CorrelationVector:
@@ -173,38 +260,53 @@ def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
-def _quick_separation(p: CorrelationVector, order: list, masks: list) -> Outside | None:
+def _quick_separation(layout: SchemeLayout, scale: int, values: np.ndarray) -> Outside | None:
     """Cheap certificates before the LP: range bounds and monotonicity.
 
     Both come straight from the vertex structure: every vertex component lies
     in {0, 1}, and components can only shrink as conjunctions grow. If either
     fails, the violating comparison itself is a valid separating functional,
-    so these shortcuts can never disagree with the LP verdict. ``order`` is
-    ``p.scheme.sorted_sets()`` and ``masks`` their bitmasks.
+    so these shortcuts can never disagree with the LP verdict. ``values`` are
+    the vector's numerators over ``scale`` in ``layout.order``.
     """
-    scale, nums = scaled([p.values[s] for s in order])
-    nums = np.array(nums, dtype=object)
-    outside = (nums < 0) | (nums > scale)
+    order = layout.order
+    outside = (values < 0) | (values > scale)
     if outside.any():
         i = int(np.argmax(outside))
-        if nums[i] < 0:
+        if values[i] < 0:
             return Outside({order[i]: Fraction(-1)}, Fraction(0))
         return Outside({order[i]: Fraction(1)}, Fraction(-1))
-    # a is a proper subset of b when mask_a & ~mask_b == 0 and a != b; sorted
-    # by size, a then comes first. nonzero lists these pairs in scan order (by
-    # a, then by b), so the first violation is the first in that scan.
-    bits = np.array(masks, dtype=np.int64 if p.scheme.n < 63 else object)
-    subset = (bits[:, None] & ~bits) == 0
-    np.fill_diagonal(subset, False)
-    below, above = np.nonzero(subset)
-    violated = nums[above] > nums[below]
+    below, above, _, _ = layout.gathers
+    violated = values[above] > values[below]
     if violated.any():
         k = int(np.argmax(violated))
         return Outside({order[above[k]]: Fraction(1), order[below[k]]: Fraction(-1)}, Fraction(0))
     return None
 
 
-def _checked_proposal(p: CorrelationVector, order: list, masks: list) -> Inside | None:
+def _facet_separation(layout: SchemeLayout, scale: int, values: np.ndarray) -> Outside | None:
+    """The first violated Bell–Boole facet as an Outside verdict: pair atoms, then triangle rows.
+
+    Each row is valid on every vertex, so a violation proves Outside, and the
+    row as it stands (coefficients +-1, offset -1 or 0) is already in lowest
+    integer form. ``values`` are numerators over ``scale`` that quick
+    separation has bounded by ``scale``, so no row sum leaves 6 scale.
+    """
+    _, _, pairs, triples = layout.gathers
+    over = values[pairs] @ _PAIR_ATOM > PAIR_ROWS[-1][3] * scale
+    if over.any():
+        positions, (_, coefficients, _, bound) = pairs[np.argmax(over)], PAIR_ROWS[-1]
+    else:
+        over = values[triples] @ _TRIANGLE_COEFFICIENTS > [b * scale for _, b in TRIANGLE_ROWS]
+        if not over.any():
+            return None
+        t, r = divmod(int(np.argmax(over)), len(TRIANGLE_ROWS))
+        positions, (coefficients, bound) = triples[t], TRIANGLE_ROWS[r]
+    cert = {layout.order[k]: Fraction(c) for k, c in zip(positions, coefficients) if c}
+    return Outside(cert, Fraction(-bound))
+
+
+def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | None:
     """The vector's proposal as an Inside verdict if it has one that reproduces the vector exactly, else None.
 
     The numerators must be positive ints summing to the denominator, on
@@ -222,7 +324,7 @@ def _checked_proposal(p: CorrelationVector, order: list, masks: list) -> Inside 
     if not all(type(w) is int and w > 0 for w in numerators) or sum(numerators) != den:
         return None
     weighted = list(zip(support, numerators))
-    for s, mask in zip(order, masks):
+    for s, mask in zip(layout.order, layout.masks):
         value = p.values[s]
         if sum(w for m, w in weighted if m & mask == mask) * value.denominator != value.numerator * den:
             return None
@@ -237,27 +339,36 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     Outside returns a separating functional. ``n_max`` guards the 2^n column
     count; raise it explicitly for patient large runs.
 
-    A vector's ``proposal`` is checked exactly on every call and returned as
-    the Inside verdict when it reproduces the vector. Otherwise, or without
-    one, quick separation and then the phase-1 simplex decide.
+    The checks run in a fixed order and the first that decides returns:
+    the vector's ``proposal``, checked exactly and returned as the Inside
+    verdict when it reproduces the vector; quick separation; the Bell–Boole
+    facets of the scheme's complete pairs and triples; and the phase-1
+    simplex, which decides every vector that reaches it.
     """
     n = p.scheme.n
     if n > n_max:
         raise TooLarge(f"{n} events means 2^{n} columns; raise n_max to force the run")
 
-    order = p.scheme.sorted_sets()
-    masks = [lattice.mask(s) for s in order]
-    quick = _checked_proposal(p, order, masks) or _quick_separation(p, order, masks)
-    if quick is not None:
-        return quick
+    layout = p.scheme.layout
+    checked = _checked_proposal(p, layout)
+    if checked is not None:
+        return checked
+    scale, nums = scaled([p.values[s] for s in layout.order])
+    # int64 must hold every numerator for the range check; past it each lies in [0, scale], and a facet
+    # row sum within 6 scale.
+    peak = max(scale, *map(abs, nums))
+    values = np.array(nums, dtype=np.int64 if 6 * peak <= lattice.INT64_MAX else object)
+    separated = _quick_separation(layout, scale, values) or _facet_separation(layout, scale, values)
+    if separated is not None:
+        return separated
 
     rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
-    rows += [(mask, p.values[s]) for s, mask in zip(order, masks)]
+    rows += [(mask, p.values[s]) for s, mask in zip(layout.order, layout.masks)]
     result = solve_zero_one_feasibility(n, rows)
     if result.feasible:
         return Inside({lattice.bits(mask, n): w for mask, w in sorted(result.weights.items())})
     offset = result.farkas[0]
-    cert = {s: y for s, y in zip(order, result.farkas[1:]) if y}
+    cert = {s: y for s, y in zip(layout.order, result.farkas[1:]) if y}
     cert, offset = _normalize_certificate(cert, offset)
     return Outside(cert, offset)
 

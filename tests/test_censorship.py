@@ -315,6 +315,27 @@ def test_a_hand_built_distribution_with_float_weights_is_an_invalid_distribution
         build_censored_space(suite, SetupDistribution({frozenset({1, 3}): 0.5, frozenset({2, 4}): 0.5}))
 
 
+@pytest.mark.parametrize("weights, message", [
+    ({frozenset({1, 3}): F(3, 2), frozenset({2, 4}): F(-1, 2)}, r"^negative weight -1/2 on context \[2, 4\]$"),
+    ({frozenset({1, 3}): F(1, 2)}, r"^context weights must sum to one$"),
+])
+def test_a_hand_built_distribution_with_a_negative_weight_or_a_wrong_sum_is_invalid(weights, message):
+    with pytest.raises(InvalidDistribution, match=message):
+        SetupDistribution(weights)
+
+
+@pytest.mark.parametrize("context, index", [({9}, 9), ({0, 1}, 0), ({1, 5}, 5)])
+def test_effective_probability_refuses_a_supported_context_outside_the_suite(orsay_setup, context, index):
+    suite = orsay_setup[0]
+    dist = SetupDistribution({frozenset({1, 3}): F(1, 2), frozenset(context): F(1, 2)})
+    message = rf"^a supported context names measurement {index}, outside the suite's 1\.\.4$"
+    with pytest.raises(InvalidDistribution, match=message):
+        effective_probability(suite, dist, [1], [])
+    # A context with no weight is not part of the support and names nothing.
+    assert effective_probability(suite, SetupDistribution({frozenset({1, 3}): F(1), frozenset(context): F(0)}),
+                                 [], [1]) == 1
+
+
 def test_validate_distribution_rejects_incompatible_mass(orsay_setup):
     suite, _ = orsay_setup
     with pytest.raises(IncompatibleSupport):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -27,6 +28,7 @@ from kolmorep import (
 )
 from kolmorep import lattice, polytope
 from kolmorep.simplex import solve_zero_one_feasibility
+from reference_simplex import solve_zero_one_feasibility as reference_solve
 
 F = Fraction
 
@@ -348,6 +350,115 @@ def test_a_proposal_never_makes_an_outside_vector_inside():
                           Proposal(1, (0b11,), (1,)))
     verdict = membership(p)
     assert isinstance(verdict, Outside) and certificate_is_valid(p, verdict)
+
+
+# --- Bell-Boole facets ------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_facet_row_holds_on_every_vertex_of_the_complete_pair_scheme(n):
+    scheme = pair_scheme(n)
+    layout = scheme.layout
+    pairs, triples = layout.gathers.pairs, layout.gathers.triples
+    assert pairs.shape == (n * (n - 1) // 2, 3) and triples.shape == (n * (n - 1) * (n - 2) // 6, 6)
+    for bits in itertools.product((0, 1), repeat=n):
+        p = vertex(bits, scheme)
+        values = [int(p.values[s]) for s in layout.order]
+        for positions in pairs:
+            terms = [values[k] for k in positions]
+            for _, coefficients, lower, upper in polytope.PAIR_ROWS:
+                row = sum(c * x for c, x in zip(coefficients, terms))
+                assert (lower is None or lower <= row) and (upper is None or row <= upper)
+        for positions in triples:
+            terms = [values[k] for k in positions]
+            for coefficients, upper in polytope.TRIANGLE_ROWS:
+                assert sum(c * x for c, x in zip(coefficients, terms)) <= upper
+        assert polytope._facet_separation(layout, 1, np.array(values, dtype=np.int64)) is None
+
+
+def test_facet_rows_gather_their_sets_in_lexicographic_order():
+    layout = pair_scheme(4).layout
+    sets = lambda positions: [sorted(layout.order[k]) for k in positions]  # noqa: E731
+    pairs = itertools.combinations(range(1, 5), 2)
+    assert [sets(row) for row in layout.gathers.pairs] == [[[i], [j], [i, j]] for i, j in pairs]
+    assert [sets(row) for row in layout.gathers.triples] == [
+        [[i], [j], [k], [i, j], [i, k], [j, k]] for i, j, k in itertools.combinations(range(1, 5), 3)
+    ]
+
+
+def test_a_scheme_without_a_complete_triple_has_no_triangle_rows():
+    from kolmorep import ch_scheme
+    layout = ch_scheme().layout
+    assert [sorted(layout.order[k]) for k in layout.gathers.pairs[:, 2]] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+    assert layout.gathers.triples.shape == (0, 6)
+    # A pair whose singletons are missing is not complete either.
+    assert ConjunctionScheme.make(3, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}]).layout.gathers.pairs.shape == (1, 3)
+
+
+def test_the_layout_is_built_once_per_scheme():
+    scheme = pair_scheme(3)
+    assert scheme.layout is scheme.layout and scheme.layout.gathers is scheme.layout.gathers
+    assert list(scheme.layout.order) == sorted(scheme.sets, key=lambda s: (len(s), sorted(s)))
+    assert scheme.layout.masks == tuple(lattice.mask(s) for s in scheme.layout.order)
+
+
+def pair_vector(n, singles, pairs):
+    scheme = pair_scheme(n)
+    return CorrelationVector(scheme, {s: singles if len(s) == 1 else pairs for s in scheme.sets})
+
+
+TINY = F(1, 2**62)  # numerators over 2^62: six of them leave int64, so the check runs on Python ints
+FACET_CASES = [
+    # p1 = p2 = 1, p12 = 1/2: the pair atom p1 + p2 - p12 <= 1 fails; range and monotonicity hold.
+    (pair_vector(2, F(1), F(1, 2)), {(1,): 1, (2,): 1, (1, 2): -1}, -1),
+    (pair_vector(2, 1 - TINY, TINY), {(1,): 1, (2,): 1, (1, 2): -1}, -1),
+    # Singletons 1/2 and pairs 0: every pair atom holds, p1 + p2 + p3 - p12 - p13 - p23 <= 1 fails.
+    (pair_vector(3, F(1, 2), F(0)), {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1, (1, 3): -1, (2, 3): -1}, -1),
+    (pair_vector(4, F(1, 2), TINY), {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1, (1, 3): -1, (2, 3): -1}, -1),
+    # p12 = p13 = 1/2 = p1 and p23 = 0: p12 + p13 - p23 <= p1 fails, and the first triangle row holds.
+    (CorrelationVector(pair_scheme(3), {frozenset(s): v for s, v in [
+        ({1}, F(1, 2)), ({2}, F(1, 2)), ({3}, F(1, 2)), ({1, 2}, F(1, 2)), ({1, 3}, F(1, 2)), ({2, 3}, F(0))]}),
+     {(1,): -1, (1, 2): 1, (1, 3): 1, (2, 3): -1}, 0),
+]
+
+
+@pytest.mark.parametrize("p, certificate, offset", FACET_CASES)
+def test_a_violated_facet_decides_outside_without_the_simplex(monkeypatch, p, certificate, offset):
+    no_simplex(monkeypatch)
+    verdict = membership(p)
+    assert verdict == Outside({frozenset(s): F(c) for s, c in certificate.items()}, F(offset))
+    assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
+
+
+def nudged_mixture(rng, n, nudge):
+    """A random mixture of three vertices of the pair scheme, one pair value moved by 1/16 when ``nudge``."""
+    scheme = pair_scheme(n)
+    weights = [F(rng.randint(1, 6)) for _ in range(3)]
+    p = mixture(scheme, [(tuple(rng.randint(0, 1) for _ in range(n)), w / sum(weights)) for w in weights])
+    if not nudge:
+        return p
+    values = dict(p.values)
+    s = rng.choice(sorted((s for s in scheme.sets if len(s) == 2), key=sorted))
+    step = F(rng.choice((1, -1)), 16)
+    values[s] += step if 0 <= values[s] + step <= 1 else -step
+    return CorrelationVector(scheme, values)
+
+
+def test_facet_verdicts_agree_with_the_reference_simplex_and_their_witnesses_check(monkeypatch):
+    rng = random.Random(25)
+    witnesses = []
+    facets = polytope._facet_separation
+    monkeypatch.setattr(polytope, "_facet_separation", lambda *args: witnesses.append(facets(*args)) or witnesses[-1])
+    decided = 0
+    for n in range(2, 7):
+        for k in range(8):
+            p = nudged_mixture(rng, n, nudge=k % 4 != 0)
+            verdict = membership(p)
+            rows = [(0, F(1))] + [(lattice.mask(s), p.values[s]) for s in p.scheme.layout.order]
+            assert isinstance(verdict, Inside) == reference_solve(n, rows).feasible
+            if witnesses and witnesses[-1] is verdict:
+                decided += 1
+                assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
+    assert decided >= 8
 
 
 # --- spaces ---------------------------------------------------------------------
