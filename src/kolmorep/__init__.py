@@ -38,13 +38,13 @@ from .errors import (
     TooLarge,
     UnknownEvent,
 )
+from .lattice import Decomposition
 from .polytope import (
     ConjunctionScheme,
     CorrelationVector,
     Inside,
     KolmogorovSpace,
     Outside,
-    Proposal,
     certificate_is_valid,
     evaluate,
     membership,

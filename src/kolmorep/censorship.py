@@ -48,8 +48,8 @@ from .errors import (
     UnknownEvent,
 )
 from . import lattice
-from .lattice import INT64_MAX
-from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace, Proposal
+from .lattice import INT64_MAX, Decomposition
+from .polytope import ConjunctionScheme, CorrelationVector, Inside, KolmogorovSpace
 from .quantum import Operator, born, commutes
 from .rational import DEFAULT_POLICY, RationalizationPolicy, exact_number, rationalize, scaled
 
@@ -161,10 +161,10 @@ class MeasurementSuite:
         )
 
 
-def _index(i) -> int:
-    """A measurement index as an int; a bool or a non-integer raises ``KolmorepError`` naming it."""
+def _index(i, what: str = "measurement index") -> int:
+    """A measurement index (or order) as an int; a bool or a non-integer raises ``KolmorepError`` naming it."""
     if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
-        raise KolmorepError(f"measurement index {i!r} is not an integer")
+        raise KolmorepError(f"{what} {i!r} is not an integer")
     return operator.index(i)
 
 
@@ -420,7 +420,8 @@ def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) ->
     scheme over the 2n events, found without a linear program.
     """
     den, weights = _point_weights(censored, suite)
-    return Inside({lattice.bits(mask, 2 * suite.n): Fraction(w, den) for mask, w in sorted(weights.items()) if w})
+    support = {mask: w for mask, w in weights.items() if w}
+    return Inside(Decomposition(2 * suite.n, den, tuple(support), tuple(support.values())))
 
 
 def verify_censorship(
@@ -452,7 +453,7 @@ def verify_censorship(
     at most ``MAX_COMPARED``; more raise ``TooLarge`` before that pass allocates.
     """
     n = suite.n
-    max_order = 2 * n if max_order is None else max_order
+    max_order = 2 * n if max_order is None else _index(max_order, "max_order")
     if max_order < 1:
         raise KolmorepError(f"max_order must be at least 1, got {max_order}")
     size = 1 << n
@@ -532,7 +533,7 @@ class EffectiveVector:
         raise SchemeMismatch(f"event index {index} outside 1..{2 * n}")
 
 
-def _censored_proposal(suite: MeasurementSuite, dist: SetupDistribution) -> Proposal:
+def _censored_proposal(suite: MeasurementSuite, dist: SetupDistribution) -> Decomposition:
     """The censored space's weights on 2n-bit assignments, in integers over one denominator.
 
     Point (J, eps) sets switch bits J (shifted up by n) and outcome bits eps, as in
@@ -550,7 +551,7 @@ def _censored_proposal(suite: MeasurementSuite, dist: SetupDistribution) -> Prop
             if atom:
                 masks.append(switch | hit)
                 numerators.append(scale * atom)
-    return Proposal(kden * common, tuple(masks), tuple(numerators))
+    return Decomposition(2 * n, kden * common, tuple(masks), tuple(numerators))
 
 
 def assemble_effective_vector(

@@ -27,6 +27,11 @@ array copies it and the sums would land in the copy, so such input raises
 ``ValueError`` rather than be left unchanged.
 """
 
+from collections.abc import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+
 import numpy as np
 
 INT64_MAX = 2**63 - 1
@@ -45,6 +50,36 @@ def bits(mask: int, n: int) -> tuple:
 def members(mask: int) -> tuple:
     """Sorted 1-based indices of the bits set in a mask."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition(Mapping):
+    """Weight ``numerators[k] / denominator`` on the n-bit assignment ``masks[k]``: an Inside witness in integers.
+
+    ``simplex`` builds it, so it lives here. Nothing is checked. As a read-only Mapping it lists
+    ``bits(mask, n)`` -> lowest-terms Fraction in mask order, built on first read, and equality is that
+    Mapping's. The view keeps a mask's low n bits and one entry per mask: compare ``(masks, numerators)``
+    to tell invalid decompositions apart.
+    """
+
+    n: int
+    denominator: int
+    masks: tuple
+    numerators: tuple
+
+    @cached_property
+    def _fractions(self) -> dict:
+        n, den = self.n, self.denominator
+        return {bits(m, n): Fraction(w, den) for m, w in sorted(zip(self.masks, self.numerators))}
+
+    def __getitem__(self, key) -> Fraction:
+        return self._fractions[key]
+
+    def __iter__(self):
+        return iter(self._fractions)
+
+    def __len__(self) -> int:
+        return len(self._fractions)
 
 
 def _transform(a: np.ndarray, ufunc: np.ufunc, to: int) -> np.ndarray:

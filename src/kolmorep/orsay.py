@@ -65,8 +65,9 @@ class OrsayConfig:
         for name, angle in zip(SWITCH_NAMES, self.angles):
             if not isfinite(angle):
                 raise InvalidDirection(f"angle {name} must be finite, got {angle}")
-        # Only the numbers validate_distribution reads: int, float and Fraction.
-        in_unit = (isinstance(w, (int, float, Fraction)) and 0 <= w <= 1 for w in self.weights)
+        # Only the numbers validate_distribution reads: int, float and Fraction, not bool.
+        in_unit = (isinstance(w, (int, float, Fraction)) and not isinstance(w, bool) and 0 <= w <= 1
+                   for w in self.weights)
         if len(self.weights) != 4 or not all(in_unit):
             raise InvalidDistribution("need four context weights in [0, 1]")
         if sum(map(Fraction, self.weights)) != 1:  # at their exact values, as validate_distribution reads them

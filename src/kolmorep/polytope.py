@@ -8,11 +8,11 @@ hull is exactly the existence of a finite classical probability space whose
 event intersections reproduce the vector, and both directions are
 constructive:
 
-* Inside verdicts carry a convex decomposition over assignments, which
-  ``representation_from_weights`` turns into an explicit probability space.
-  A vector may carry a ``Proposal`` of such a decomposition (an effective
-  vector carries its censored space's); ``membership`` checks it exactly
-  and returns it only if it reproduces every value.
+* Inside verdicts carry a convex decomposition over assignments in integers
+  (``lattice.Decomposition``), which ``representation_from_weights`` turns
+  into a probability space. A vector may carry one as its proposal (an
+  effective vector carries its censored space's); ``membership`` checks it
+  exactly and returns that object itself only if it reproduces every value.
 * Outside verdicts carry an affine functional that is non-positive on every
   vertex but positive on the tested vector; ``certificate_is_valid``
   re-checks it on all 2^n assignments with one subset-sum pass.
@@ -174,20 +174,6 @@ class ConjunctionScheme:
         return SchemeLayout(self)
 
 
-class Proposal(NamedTuple):
-    """A proposed Inside decomposition in integers: weight ``numerators[k] / denominator`` on ``masks[k]``.
-
-    A mask is an assignment's bits (bit i - 1 for event i). Nothing is checked
-    here; ``membership`` decides whether the proposal reproduces its vector.
-    A named tuple rather than a dataclass: it is built with every effective
-    vector, and costs less memory and import time.
-    """
-
-    denominator: int
-    masks: tuple
-    numerators: tuple
-
-
 @dataclass(frozen=True)
 class CorrelationVector:
     """A value for every conjunction in the scheme. Values may leave [0, 1].
@@ -198,7 +184,7 @@ class CorrelationVector:
 
     scheme: ConjunctionScheme
     values: Mapping
-    proposal: Optional[Proposal] = field(default=None, compare=False, repr=False)
+    proposal: Optional[lattice.Decomposition] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = frozenset(self.values.keys())
@@ -231,7 +217,7 @@ def vertex(bits: Sequence[int], scheme: ConjunctionScheme) -> CorrelationVector:
 
 @dataclass(frozen=True)
 class Inside:
-    """Convex decomposition over assignments; only positive weights are listed."""
+    """Convex decomposition over assignments, positive weights only; ``membership`` gives a ``Decomposition``."""
 
     weights: Mapping  # tuple of bits -> Fraction
 
@@ -309,14 +295,15 @@ def _facet_separation(layout: SchemeLayout, scale: int, values: np.ndarray) -> O
 def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | None:
     """The vector's proposal as an Inside verdict if it has one that reproduces the vector exactly, else None.
 
-    The numerators must be positive ints summing to the denominator, on
-    distinct masks of n bits, and for every scheme set the numerators of the
-    masks containing it must sum to the set's value, compared by
-    cross-multiplication. That costs support x sets and no 2^n array.
+    It must be over the scheme's n events, with positive int numerators summing
+    to the denominator on distinct masks of n bits; for every scheme set the
+    numerators of the masks containing it must sum to the set's value, compared
+    by cross-multiplication. That costs support x sets and no 2^n array.
     """
-    if p.proposal is None:
+    proposal, n = p.proposal, p.scheme.n
+    if proposal is None or proposal.n != n:
         return None
-    n, (den, support, numerators) = p.scheme.n, p.proposal
+    den, support, numerators = proposal.denominator, proposal.masks, proposal.numerators
     if type(den) is not int or den < 1 or len(support) != len(numerators) or len(set(support)) != len(support):
         return None
     if not all(type(m) is int and 0 <= m < 1 << n for m in support):
@@ -328,7 +315,7 @@ def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | No
         value = p.values[s]
         if sum(w for m, w in weighted if m & mask == mask) * value.denominator != value.numerator * den:
             return None
-    return Inside({lattice.bits(m, n): Fraction(w, den) for m, w in sorted(weighted)})
+    return Inside(proposal)
 
 
 def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
@@ -365,12 +352,10 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
     rows += [(mask, p.values[s]) for s, mask in zip(layout.order, layout.masks)]
     result = solve_zero_one_feasibility(n, rows)
-    if result.feasible:
-        return Inside({lattice.bits(mask, n): w for mask, w in sorted(result.weights.items())})
-    offset = result.farkas[0]
-    cert = {s: y for s, y in zip(layout.order, result.farkas[1:]) if y}
-    cert, offset = _normalize_certificate(cert, offset)
-    return Outside(cert, offset)
+    if isinstance(result, lattice.Decomposition):
+        return Inside(result)
+    cert = {s: y for s, y in zip(layout.order, result[1:]) if y}
+    return Outside(*_normalize_certificate(cert, result[0]))
 
 
 def certificate_is_valid(p: CorrelationVector, verdict: Outside) -> bool:

@@ -95,10 +95,11 @@ def scaled(values: list) -> tuple:
 def exact_number(value, what: str) -> Fraction:
     """A library weight or mass as a Fraction: an int, a Fraction, or a finite float at its exact binary value.
 
-    Floats here are not rationalized: no policy applies to hand-built masses. Anything else, NaN and the
-    infinities included, raises InvalidDistribution naming `what`.
+    Floats here are not rationalized: no policy applies to hand-built masses. Anything else, bools, NaN and
+    the infinities included, raises InvalidDistribution naming `what`.
     """
-    if isinstance(value, (int, Fraction)) or isinstance(value, float) and math.isfinite(value):
+    exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    if exact or isinstance(value, float) and math.isfinite(value):
         return Fraction(value)
     raise InvalidDistribution(f"{what} must be a finite number, got {value!r}")
 

@@ -12,10 +12,11 @@ in row k exactly when ``T_k`` is a subset of ``eps``.
 
 Method: revised phase-1 simplex on an artificial basis, Bland's rule for both
 the entering and the leaving choice, so the run terminates without cycling.
-Artificial columns are dropped once they leave the basis. When the phase-1
-optimum is positive, the final simplex multipliers give a separating
-functional y with ``y . column(eps) <= 0`` for every assignment and
-``y . rhs > 0``.
+Artificial columns are dropped once they leave the basis. A zero phase-1
+optimum returns the positive basic weights as a ``lattice.Decomposition`` of
+the tableau's integers over ``D L`` (below). A positive one returns the final
+multipliers, one Fraction per row in input order: a separating functional y
+with ``y . column(eps) <= 0`` for every assignment and ``y . rhs > 0``.
 
 Arithmetic is exact and fraction-free (Edmonds 1967, Bareiss 1968). Basis
 columns are integer, so ``adj = D B^-1`` with ``D = |det B|`` is an integer
@@ -62,13 +63,12 @@ direction and, in its last entry, the entering reduced cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import INT64_MAX, subset_sums
+from .lattice import INT64_MAX, Decomposition, subset_sums
 from .rational import scaled
 
 # Largest m * 2^n at which int64 pricing multiplies by the incidence matrix.
@@ -76,23 +76,6 @@ from .rational import scaled
 # (m 2^n = 9,472), about as fast at n = 9 (23,552) and 1.3-1.6x slower at
 # n = 10 (57,344).
 _INCIDENCE_MAX = 2**15
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    """Either a convex decomposition or a Farkas functional, never both.
-
-    ``weights`` maps assignment bitmasks to positive weights summing to the
-    normalization row's right-hand side. ``farkas`` holds one multiplier per
-    input row, in input order.
-    """
-
-    weights: Optional[dict[int, Fraction]]
-    farkas: Optional[tuple[Fraction, ...]]
-
-    @property
-    def feasible(self) -> bool:
-        return self.weights is not None
 
 
 def _needs_object(m: int, peak: int) -> bool:
@@ -107,7 +90,7 @@ def _needs_object(m: int, peak: int) -> bool:
 
 def solve_zero_one_feasibility(
     n: int, rows: Sequence[tuple[int, Fraction]]
-) -> FeasibilityResult:
+) -> Decomposition | tuple[Fraction, ...]:
     """Decide feasibility of the subset-sum system described in the module docstring."""
     m = len(rows)
     ncols = 1 << n
@@ -148,15 +131,10 @@ def solve_zero_one_feasibility(
         entering = int((reduced > 0).argmax())  # Bland: lowest assignment index
 
         if not reduced[entering] > 0:
-            if not tab[m, m]:
-                weights = {
-                    basis[i]: Fraction(int(tab[i, m]), det * scale)
-                    for i in range(m)
-                    if basis[i] < ncols and tab[i, m]
-                }
-                return FeasibilityResult(weights=weights, farkas=None)
-            farkas = tuple(Fraction(int(v), det) for v in tab[m, :m])
-            return FeasibilityResult(weights=None, farkas=farkas)
+            if tab[m, m]:
+                return tuple(Fraction(int(v), det) for v in tab[m, :m])
+            support = [i for i in range(m) if basis[i] < ncols and tab[i, m]]
+            return Decomposition(n, det * scale, tuple(basis[i] for i in support), tuple(tab[support, m].tolist()))
 
         # det B^-1 column(entering), and in the last entry reduced[entering].
         column = incidence[:, entering] if incidence is not None else (masks & ~entering) == 0

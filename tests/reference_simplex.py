@@ -1,17 +1,19 @@
-"""Reference for the exact simplex: the earlier Fraction-based solver, kept verbatim.
+"""Reference for the exact simplex: the earlier Fraction-based solver, its pivoting kept verbatim.
 
 Tests compare ``kolmorep.simplex.solve_zero_one_feasibility`` against it and
 require equal weights and Farkas multipliers, not merely valid ones: both
 follow Bland's rule on the same exact values, so they pivot identically.
+Feasible systems return a dict from ``lattice.bits`` tuples to Fractions,
+which a ``Decomposition`` equals as a Mapping; infeasible ones the Farkas tuple.
 Slow (Fraction arithmetic, a per-column pricing loop); test use only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from kolmorep.simplex import FeasibilityResult
+from kolmorep import lattice
 
 _q = Fraction
 _ZERO = _q(0)
@@ -24,7 +26,7 @@ def _to_fraction(value) -> Fraction:
 
 def solve_zero_one_feasibility(
     n: int, rows: Sequence[tuple[int, Fraction]]
-) -> FeasibilityResult:
+) -> Union[dict, tuple]:
     """Decide feasibility of the subset-sum system described in the module docstring."""
     m = len(rows)
     ncols = 1 << n
@@ -64,16 +66,14 @@ def solve_zero_one_feasibility(
         if entering < 0:
             value = sum((xb[i] for i in artificial_rows), _ZERO)
             if value == 0:
-                weights = {
-                    basis[i]: _to_fraction(xb[i])
+                return {
+                    lattice.bits(basis[i], n): _to_fraction(xb[i])
                     for i in range(m)
                     if basis[i] < ncols and xb[i]
                 }
-                return FeasibilityResult(weights=weights, farkas=None)
-            farkas = tuple(
+            return tuple(
                 _to_fraction(y[j] if signs[j] > 0 else -y[j]) for j in range(m)
             )
-            return FeasibilityResult(weights=None, farkas=farkas)
 
         # Direction d = B^-1 column(entering), column entries are the row signs.
         col = [(_ONE if signs[i] > 0 else -_ONE) if masks[i] & ~entering == 0 else _ZERO for i in range(m)]

@@ -44,9 +44,10 @@ from kolmorep import (
     validate_distribution,
     verify_censorship,
 )
-from kolmorep import censorship, lattice, polytope, simulation
+from kolmorep import censorship, polytope, simulation
 from kolmorep.censorship import CensoredSpace, SetupDistribution
-from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace, Proposal
+from kolmorep.lattice import Decomposition
+from kolmorep.polytope import ConjunctionScheme, KolmogorovSpace
 from kolmorep import orsay
 from kolmorep.quantum import direction, identity, singlet_density, spin_projector_up, tensor
 from kolmorep.serialize import (
@@ -294,7 +295,7 @@ def test_validate_distribution_reads_numpy_integer_contexts_as_ints(orsay_setup)
     assert all(type(i) is int for j in dist.weights for i in j)
 
 
-@pytest.mark.parametrize("weight", [float("inf"), float("nan"), "1/2"])
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), "1/2", True])
 def test_validate_distribution_rejects_weights_that_are_not_finite_numbers(orsay_setup, weight):
     suite = orsay_setup[0]
     message = rf"^weight on context \[1, 3\] must be a finite number, got {re.escape(repr(weight))}$"
@@ -1145,6 +1146,20 @@ def test_verify_rejects_max_order_below_one(orsay_setup, order):
         verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=order)
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, F(2), True, np.True_, "2"])
+def test_verify_rejects_a_max_order_that_is_not_an_integer(orsay_setup, order):
+    suite, dist = orsay_setup
+    with pytest.raises(KolmorepError, match=rf"^max_order {re.escape(repr(order))} is not an integer$"):
+        verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=order)
+
+
+def test_verify_reads_a_numpy_integer_max_order_as_an_int(orsay_setup):
+    suite, dist = orsay_setup
+    report = verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=np.int64(2))
+    assert report == verify_censorship(build_censored_space(suite, dist), suite, dist, max_order=2)
+    assert type(report.max_order) is int and report.max_order == 2
+
+
 def test_verify_defaults_to_full_order(orsay_setup):
     suite, dist = orsay_setup
     report = verify_censorship(build_censored_space(suite, dist), suite, dist)
@@ -1170,18 +1185,15 @@ def test_effective_decomposition_reproduces_the_effective_vector():
 
 # --- the censored proposal ----------------------------------------------------------------
 
-def proposal_weights(vector):
-    proposal, n = vector.proposal, vector.scheme.n
-    return {lattice.bits(m, n): F(w, proposal.denominator) for m, w in zip(proposal.masks, proposal.numerators)}
-
-
 def test_the_proposal_is_the_censored_spaces_decomposition():
     cases = [(suite, dist) for suite, dist, _oracle in random_cases()]
     cases += [orsay_case(angles) for angles in (orsay.DEFAULT_ANGLES_DEG, *GENERIC_ANGLES)]
     for suite, dist in cases:
         eff = assemble_effective_vector(suite, dist, pairs_and_singletons(2 * suite.n))
         decomposition = effective_decomposition(build_censored_space(suite, dist), suite)
-        assert proposal_weights(eff.vector) == decomposition.weights
+        assert isinstance(eff.vector.proposal, Decomposition) and eff.vector.proposal.n == 2 * suite.n
+        assert isinstance(decomposition.weights, Decomposition) and decomposition.weights.n == 2 * suite.n
+        assert eff.vector.proposal == decomposition.weights
         assert membership(eff.vector) == decomposition
 
 
@@ -1199,30 +1211,37 @@ def moved_unit(p, to=None):
     numerators = list(p.numerators)
     numerators[i] -= 1
     if to is not None:
-        return p._replace(masks=p.masks + (to,), numerators=(*numerators, 1))
+        return replace(p, masks=p.masks + (to,), numerators=(*numerators, 1))
     numerators[(i + 1) % len(numerators)] += 1
-    return p._replace(numerators=tuple(numerators))
+    return replace(p, numerators=tuple(numerators))
 
 
 def with_first(p, mask=None, numerator=None):
     """The proposal with its first mask or numerator replaced, the denominator kept equal to the sum."""
     masks = (p.masks[0] if mask is None else mask,) + p.masks[1:]
     numerators = (p.numerators[0] if numerator is None else numerator,) + p.numerators[1:]
-    return Proposal(sum(numerators), masks, numerators)
+    return Decomposition(p.n, sum(numerators), masks, numerators)
+
+
+def integers(p):
+    """A decomposition's fields: its view can read two different ones as one mapping."""
+    return p.n, p.denominator, p.masks, p.numerators
 
 
 # Orsay's support never has mask 0 (no switch on) or 255 (every switch on). The zero numerator,
-# the extra weight on mask 0, the bit above n and the split weight leave every vector value right.
+# the extra weight on mask 0, the bit above n, the split weight and the ninth event leave every
+# vector value right.
 CORRUPTIONS = {
     "one numerator changed": moved_unit,
     "one mask moved to an assignment outside the support": lambda p: with_first(p, mask=(1 << 8) - 1),
-    "a zero numerator": lambda p: p._replace(masks=p.masks + ((1 << 8) - 1,), numerators=p.numerators + (0,)),
+    "a zero numerator": lambda p: replace(p, masks=p.masks + ((1 << 8) - 1,), numerators=p.numerators + (0,)),
     "a negative numerator": lambda p: with_first(p, numerator=-p.numerators[0]),
-    "numerators that do not sum to the denominator": lambda p: p._replace(
-        masks=p.masks + (0,), numerators=p.numerators + (1,)),
+    "numerators that do not sum to the denominator": lambda p: replace(
+        p, masks=p.masks + (0,), numerators=p.numerators + (1,)),
     "a mask with a bit above n": lambda p: with_first(p, mask=p.masks[0] | 1 << 8),
     "one mask listed twice": lambda p: moved_unit(p, to=p.masks[p.numerators.index(max(p.numerators))]),
-    "an empty proposal": lambda p: Proposal(0, (), ()),
+    "an empty proposal": lambda p: Decomposition(p.n, 0, (), ()),
+    "a proposal over the wrong event count": lambda p: replace(p, n=p.n + 1),
 }
 
 
@@ -1230,12 +1249,22 @@ CORRUPTIONS = {
 def test_a_corrupted_proposal_is_rejected_and_the_simplex_decides(monkeypatch, corrupt):
     vector = orsay.effective_vector(orsay.OrsayConfig()).vector
     calls = spy_simplex(monkeypatch)
-    assert membership(vector) == Inside(proposal_weights(vector)) and not calls
+    assert membership(vector).weights is vector.proposal and not calls
     broken = replace(vector, proposal=corrupt(vector.proposal))
-    assert broken.proposal != vector.proposal
+    assert integers(broken.proposal) != integers(vector.proposal)
     verdict = membership(broken)
     assert len(calls) == 1
+    assert isinstance(verdict.weights, Decomposition) and verdict.weights is not broken.proposal
     assert isinstance(verdict, Inside) and decomposition_reproduces(verdict, vector)
+
+
+def test_the_orsay_effective_vector_is_inside_by_its_proposal_and_builds_no_fraction(monkeypatch):
+    vector = orsay.effective_vector(orsay.OrsayConfig()).vector
+    calls = spy_simplex(monkeypatch)
+    verdict = membership(vector)
+    assert isinstance(verdict, Inside) and verdict.weights is vector.proposal and not calls
+    assert "_fractions" not in vars(verdict.weights)  # the view is built on first read, not by membership
+    assert decomposition_reproduces(verdict, vector) and sum(verdict.weights.values()) == 1
 
 
 def singlet_suite(k):

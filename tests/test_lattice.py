@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from kolmorep import lattice
+from kolmorep import Inside, lattice
+from kolmorep.lattice import Decomposition
 
 
 def brute_subset_sums(values):
@@ -97,3 +99,24 @@ def test_bitmask_format_round_trips():
         bits = lattice.bits(m, 70)
         assert {i + 1 for i, b in enumerate(bits) if b} == index_set
     assert lattice.bits(0b101, 4) == (1, 0, 1, 0)
+
+
+def test_a_decomposition_reads_as_lowest_terms_fractions_in_mask_order():
+    d = Decomposition(3, 12, (0b110, 0b001, 0b000), (6, 4, 2))
+    assert "_fractions" not in vars(d)  # no Fraction until the view is read
+    assert list(d.items()) == [((0, 0, 0), F(1, 6)), ((1, 0, 0), F(1, 3)), ((0, 1, 1), F(1, 2))]
+    assert [(w.numerator, w.denominator) for w in d.values()] == [(1, 6), (1, 3), (1, 2)]
+    assert all(type(w) is F for w in d.values())
+    assert d[(1, 0, 0)] == F(1, 3) and (1, 1, 1) not in d and len(d) == 3
+    assert (d.masks, d.numerators) == ((0b110, 0b001, 0b000), (6, 4, 2))
+
+
+def test_a_decomposition_equals_the_equivalent_dict_both_ways():
+    d = Decomposition(2, 4, (0b01, 0b10), (1, 3))
+    same = {(0, 1): F(3, 4), (1, 0): F(1, 4)}
+    assert d == same and same == d and not d != same and not same != d
+    assert d == Decomposition(2, 8, (0b10, 0b01), (6, 2))
+    assert Inside(d) == Inside(same) and Inside(same) == Inside(d)
+    for other in ({(1, 0): F(1, 4)}, {**same, (1, 1): F(0)}, {(1, 0): F(1, 2), (0, 1): F(1, 2)}):
+        assert d != other and other != d and Inside(d) != Inside(other)
+    assert d != (F(1, 4), F(3, 4)) and d != Decomposition(2, 4, (), ())

@@ -147,7 +147,7 @@ def test_weights_are_checked_at_their_exact_values():
         OrsayConfig(weights=(0.1, 0.2, 0.3, 0.4))  # binary floats: their exact sum is not 1
 
 
-@pytest.mark.parametrize("weight", [float("inf"), float("nan"), F(3, 2), -0.25])
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), F(3, 2), -0.25, True])
 def test_a_weight_outside_the_unit_interval_is_rejected(weight):
     with pytest.raises(InvalidDistribution, match=r"^need four context weights in \[0, 1\]$"):
         OrsayConfig(weights=(weight, F(1, 4), F(1, 4), F(1, 2)))

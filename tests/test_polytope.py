@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from kolmorep import (
     ConjunctionScheme,
     CorrelationVector,
+    Decomposition,
     Inside,
     InvalidDistribution,
     KolmogorovSpace,
     Outside,
-    Proposal,
     SchemeMismatch,
     TooLarge,
     UnknownEvent,
@@ -194,7 +194,7 @@ def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     assert certificate_is_valid(p, verdict)
     # the quick separation must agree with a raw LP run on the same system
     rows = [(0, F(1)), (0b01, F(1, 4)), (0b11, F(1, 2))]
-    assert not solve_zero_one_feasibility(2, rows).feasible
+    assert isinstance(solve_zero_one_feasibility(2, rows), tuple)
 
 
 def test_certificate_naming_a_set_outside_the_scheme_is_invalid():
@@ -335,11 +335,11 @@ def test_a_proposal_that_reproduces_its_vector_is_the_inside_verdict(monkeypatch
     scheme = pair_scheme(3)
     weights = {(1, 0, 1): F(1, 3), (0, 1, 1): F(1, 6), (0, 0, 0): F(1, 2)}
     masks = [lattice.mask(i + 1 for i, b in enumerate(bits) if b) for bits in weights]
-    proposal = Proposal(6, tuple(masks), tuple(int(w * 6) for w in weights.values()))
+    proposal = Decomposition(3, 6, tuple(masks), tuple(int(w * 6) for w in weights.values()))
     p = replace(mixture(scheme, weights.items()), proposal=proposal)
     no_simplex(monkeypatch)
     verdict = membership(p)
-    assert isinstance(verdict, Inside) and verdict.weights == weights
+    assert isinstance(verdict, Inside) and verdict.weights is proposal and verdict.weights == weights
     assert list(verdict.weights) == [(0, 0, 0), (1, 0, 1), (0, 1, 1)]  # by mask, as the simplex lists them
 
 
@@ -347,7 +347,7 @@ def test_a_proposal_never_makes_an_outside_vector_inside():
     # p1 = p2 = 1 with p12 = 1/2 breaks the pair atom; the proposal gets p1 and p2 right and p12 wrong.
     scheme = ConjunctionScheme.make(2, [{1}, {2}, {1, 2}])
     p = CorrelationVector(scheme, {frozenset({1}): F(1), frozenset({2}): F(1), frozenset({1, 2}): F(1, 2)},
-                          Proposal(1, (0b11,), (1,)))
+                          Decomposition(2, 1, (0b11,), (1,)))
     verdict = membership(p)
     assert isinstance(verdict, Outside) and certificate_is_valid(p, verdict)
 
@@ -454,7 +454,7 @@ def test_facet_verdicts_agree_with_the_reference_simplex_and_their_witnesses_che
             p = nudged_mixture(rng, n, nudge=k % 4 != 0)
             verdict = membership(p)
             rows = [(0, F(1))] + [(lattice.mask(s), p.values[s]) for s in p.scheme.layout.order]
-            assert isinstance(verdict, Inside) == reference_solve(n, rows).feasible
+            assert isinstance(verdict, Inside) == isinstance(reference_solve(n, rows), dict)
             if witnesses and witnesses[-1] is verdict:
                 decided += 1
                 assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
@@ -498,7 +498,7 @@ def test_representation_reads_finite_float_weights_exactly():
     assert all(isinstance(m, Fraction) for m in space.mass.values())
 
 
-@pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"), "1/2", None])
+@pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"), "1/2", None, True])
 def test_representation_rejects_weights_that_are_not_finite_numbers(weight):
     message = rf"^weight for assignment \(1, 0\) must be a finite number, got {re.escape(repr(weight))}$"
     with pytest.raises(InvalidDistribution, match=message):
@@ -527,6 +527,7 @@ def test_representation_rejects_bits_that_are_not_zero_or_one(bits):
     (("x",), {"x": float("nan")}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got nan"),
     (("x",), {"x": "1"}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got '1'"),
     (("x",), {"x": None}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got None"),
+    (("x",), {"x": True}, {}, InvalidDistribution, "mass of point 'x' must be a finite number, got True"),
 ])
 def test_kolmogorov_space_validation(points, mass, events, error, message):
     with pytest.raises(error, match=f"^{message}$"):

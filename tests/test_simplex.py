@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kolmorep import simplex
+from kolmorep.lattice import Decomposition
 from kolmorep.orsay import OrsayConfig, effective_vector
 from kolmorep.simplex import solve_zero_one_feasibility
 from reference_simplex import solve_zero_one_feasibility as reference_solve
@@ -24,7 +25,9 @@ def column_entry(row_mask, eps):
     return 1 if row_mask & ~eps == 0 else 0
 
 
-def check_weights(n, rows, weights):
+def check_weights(n, rows, res):
+    assert isinstance(res, Decomposition) and res.n == n
+    weights = {eps: F(w, res.denominator) for eps, w in zip(res.masks, res.numerators)}
     for row_mask, rhs in rows:
         total = sum(w for eps, w in weights.items() if column_entry(row_mask, eps))
         assert total == rhs
@@ -41,35 +44,43 @@ def check_farkas(n, rows, farkas):
 def test_two_event_product_distribution():
     rows = [(0, F(1)), (mask(1), F(1, 2)), (mask(2), F(1, 3)), (mask(1, 2), F(1, 6))]
     res = solve_zero_one_feasibility(2, rows)
-    assert res.feasible
-    check_weights(2, rows, res.weights)
+    check_weights(2, rows, res)
 
 
 def test_infeasible_conjunction_exceeds_marginal():
     rows = [(0, F(1)), (mask(1), F(1, 4)), (mask(1, 2), F(1, 2))]
     res = solve_zero_one_feasibility(2, rows)
-    assert not res.feasible
-    check_farkas(2, rows, res.farkas)
+    assert isinstance(res, tuple)
+    check_farkas(2, rows, res)
 
 
 def test_negative_rhs_is_separated():
     rows = [(0, F(1)), (mask(1), F(-1, 3))]
     res = solve_zero_one_feasibility(1, rows)
-    assert not res.feasible
-    check_farkas(1, rows, res.farkas)
+    assert isinstance(res, tuple)
+    check_farkas(1, rows, res)
 
 
 def test_boundary_vertex_is_feasible():
     rows = [(0, F(1)), (mask(1), F(1)), (mask(2), F(0)), (mask(1, 2), F(0))]
     res = solve_zero_one_feasibility(2, rows)
-    assert res.feasible
-    assert res.weights == {mask(1): F(1)}
+    assert (res.masks, res.numerators) == ((mask(1),), (res.denominator,))
+    assert res == {(1, 0): F(1)}
 
 
 def test_normalization_only():
     res = solve_zero_one_feasibility(2, [(0, F(1))])
-    assert res.feasible
-    assert sum(res.weights.values()) == 1
+    assert isinstance(res, Decomposition)
+    assert sum(res.values()) == 1
+
+
+def test_a_feasible_system_without_positive_weight_is_an_empty_decomposition():
+    # No normalization row and zero right-hand sides: every artificial ends at 0 and no assignment enters.
+    rows = [(mask(1), F(0)), (mask(1, 2), F(0))]
+    res = solve_zero_one_feasibility(2, rows)
+    assert isinstance(res, Decomposition) and (res.masks, res.numerators) == ((), ())
+    assert res == {} == reference_solve(2, rows) and len(res) == 0
+    assert_plain_fractions(res)
 
 
 def random_rhs(rng, n, masks, kind):
@@ -118,7 +129,11 @@ def orsay_rows():
 
 
 def assert_plain_fractions(res):
-    values = list((res.weights or {}).values()) + list(res.farkas or ())
+    """Plain ints in a Decomposition and in its view's Fractions, or plain Fractions in a Farkas tuple."""
+    if isinstance(res, Decomposition):
+        assert type(res.denominator) is int and all(type(w) is int for w in res.numerators)
+        assert all(type(m) is int for m in res.masks)
+    values = list(res.values()) if isinstance(res, Decomposition) else list(res)
     for v in values:
         assert type(v) is Fraction
         assert type(v.numerator) is int and type(v.denominator) is int
@@ -139,23 +154,24 @@ def solve_each_pricing(monkeypatch, n, rows):
 
 
 def test_equals_reference_on_random_corpus(monkeypatch):
-    verdicts = set()
+    verdicts, empty = set(), 0
     for n, rows in corpus():
         expected = reference_solve(n, rows)
         for res in solve_each_pricing(monkeypatch, n, rows):
             assert res == expected, (n, rows)
             assert_plain_fractions(res)
-        verdicts.add(expected.feasible)
+        verdicts.add(isinstance(expected, dict))
+        empty += expected == {}
     assert verdicts == {True, False}
+    assert empty > 0  # feasible systems with no positive weight are in the corpus
 
 
 def test_equals_reference_on_orsay_effective_vector():
     rows = orsay_rows()
     assert len(rows) == 37
     res = solve_zero_one_feasibility(8, rows)
-    assert res.feasible
     assert res == reference_solve(8, rows)
-    check_weights(8, rows, res.weights)
+    check_weights(8, rows, res)
 
 
 def test_duplicate_row_masks_equal_reference(monkeypatch):
@@ -175,7 +191,7 @@ def test_duplicate_row_masks_equal_reference(monkeypatch):
         expected = reference_solve(n, rows)
         for res in solve_each_pricing(monkeypatch, n, rows):
             assert res == expected, (n, rows)
-        verdicts.add(expected.feasible)
+        verdicts.add(isinstance(expected, dict))
     assert verdicts == {True, False}
 
 
@@ -202,7 +218,7 @@ def test_equals_reference_on_pair_scheme_corpus(monkeypatch):
             expected = reference_solve(n, rows)
             for res in solve_each_pricing(monkeypatch, n, rows):
                 assert res == expected, (n, rows)
-            verdicts.add(expected.feasible)
+            verdicts.add(isinstance(expected, dict))
     assert verdicts == {True, False}
 
 
@@ -221,8 +237,7 @@ def test_large_system_prices_without_the_incidence_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.feasible
-    check_weights(n, rows, res.weights)
+    check_weights(n, rows, res)
     assert peak < matrix_bytes
 
 
@@ -269,7 +284,7 @@ def test_huge_denominators_run_on_python_ints(monkeypatch, case):
     calls = record_guard(monkeypatch)
     res = solve_zero_one_feasibility(3, rows)
     assert calls[0] is True  # object dtype from the start
-    assert res.feasible == (case == 0)
+    assert isinstance(res, Decomposition) == (case == 0)
     assert res == expected
     assert_plain_fractions(res)
 
