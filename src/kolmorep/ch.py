@@ -5,8 +5,9 @@ joint values, membership in the classical polytope is equivalent to the
 Clauser-Horne system: the trivial range and monotonicity bounds per measured
 pair, and four Bell-type bounds between -1 and 0. The system is one table of
 rows, each with integer coefficients on the scheme's sets. The per-pair rows
-are ``polytope.PAIR_ROWS``, which membership's exact checks read too; the four
-Bell rows are the images of one Bell line under the side swaps, all evaluated.
+are ``PAIR_ROWS``, which membership checks as rows of ``polytope.ROW_FAMILIES``;
+the four Bell rows are the images of one Bell line under the side swaps, all
+evaluated.
 """
 
 from __future__ import annotations
@@ -17,11 +18,22 @@ from functools import cache
 from typing import Optional
 
 from .errors import SchemeMismatch
-from .polytope import PAIR_ROWS, ConjunctionScheme, CorrelationVector
+from .polytope import ConjunctionScheme, CorrelationVector
 from .rational import scaled
 
 CROSS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
 _SETS = tuple((i,) for i in range(1, 5)) + CROSS_PAIRS  # the order of every row's coefficients
+
+# The rows of a pair {i, j} on (p_i, p_j, p_ij): a label template, coefficients, and a lower and an upper
+# bound. The first five are range and monotonicity, the last is the Bell–Boole pair atom.
+PAIR_ROWS = (
+    ("p{i}{j} >= 0", (0, 0, 1), 0, None),
+    ("p{i}{j} <= p{i}", (1, 0, -1), 0, None),
+    ("p{i}{j} <= p{j}", (0, 1, -1), 0, None),
+    ("p{i} <= 1", (1, 0, 0), None, 1),
+    ("p{j} <= 1", (0, 1, 0), None, 1),
+    ("p{i} + p{j} - p{i}{j} <= 1", (1, 1, -1), None, 1),
+)
 
 # The first Bell line as signed terms, p13 + p14 + p24 - p23 - p1 - p4. The four Bell rows are its
 # images under the side swaps: none, 1<->2, 3<->4 and both.
@@ -34,7 +46,7 @@ def _rows() -> tuple:
     """The system's rows (label, integer coefficients on ``_SETS``, lower, upper) in report order, built once."""
     rows = []
     for i, j in CROSS_PAIRS:
-        # The pair rows that membership's checks share, on ({i}, {j}, {i, j}).
+        # The pair rows on ({i}, {j}, {i, j}).
         for label, coefficients, lower, upper in PAIR_ROWS:
             terms = dict(zip(((i,), (j,), (i, j)), coefficients))
             rows.append((label.format(i=i, j=j), terms, _bound(lower), _bound(upper)))

@@ -18,11 +18,12 @@ constructive:
   re-checks it on all 2^n assignments with one subset-sum pass.
 
 Decisions are exact over the rationals and run in a fixed order: a checked
-proposal, quick separation (range and monotonicity), the Bell–Boole facets of
-every complete pair and triple (Pitowsky, "Correlation polytopes: their
-geometry and complexity", Math. Programming 50, 1991), and only then the
-phase-1 simplex under Bland's rule. No tolerance enters anywhere in this
-module.
+proposal, then one table of rows valid on every vertex (``ROW_FAMILIES``:
+range and monotonicity as differences p_x <= p_y, then the Bell–Boole pair
+atoms and triangles of every complete pair and triple; Pitowsky, "Correlation
+polytopes: their geometry and complexity", Math. Programming 50, 1991), and
+only then the phase-1 simplex under Bland's rule. No tolerance enters
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,53 +55,29 @@ def _event_index(i, what: str = "event index") -> int:
     return operator.index(i)
 
 
-# The rows of a pair {i, j} on (p_i, p_j, p_ij): a label template, coefficients, and a lower and an upper
-# bound. The first five are range and monotonicity, which quick separation checks; the last is the pair
-# atom p_i + p_j - p_ij <= 1, the facet table's first family. ``ch`` lists all six for its cross pairs.
-PAIR_ROWS = (
-    ("p{i}{j} >= 0", (0, 0, 1), 0, None),
-    ("p{i}{j} <= p{i}", (1, 0, -1), 0, None),
-    ("p{i}{j} <= p{j}", (0, 1, -1), 0, None),
-    ("p{i} <= 1", (1, 0, 0), None, 1),
-    ("p{j} <= 1", (0, 1, 0), None, 1),
-    ("p{i} + p{j} - p{i}{j} <= 1", (1, 1, -1), None, 1),
+# Membership's rows before the simplex, in three families. Every row is homogeneous, c . (p_S..., p_∅) <= 0,
+# where the empty conjunction has p_∅ = 1 and a virtual "never" event has value 0; a family is the matrix of
+# its rows' coefficients, one column per row, on the values that one gather of ``row_positions`` names.
+ROW_FAMILIES = (
+    # Differences p_x <= p_y on (p_x, p_y): range-low p_never <= p_I, range-high p_I <= p_∅, and monotonicity
+    # p_b <= p_a for a proper subset a of b.
+    np.array([[1], [-1]], dtype=np.int64),
+    # The Bell–Boole pair atom p_i + p_j - p_ij <= 1 on (p_i, p_j, p_ij, p_∅).
+    np.array([[1], [1], [-1], [-1]], dtype=np.int64),
+    # The triangles on (p_i, p_j, p_k, p_ij, p_ik, p_jk, p_∅): p_i + p_j + p_k - p_ij - p_ik - p_jk <= 1, then
+    # p_ij + p_ik - p_jk <= p_i and its two rotations. Under the covariance map they are the triangle
+    # inequalities of the cut polytope.
+    np.array([(1, 1, 1, -1, -1, -1, -1), (-1, 0, 0, 1, 1, -1, 0), (0, -1, 0, 1, -1, 1, 0), (0, 0, -1, -1, 1, 1, 0)],
+             dtype=np.int64).T,
 )
-_PAIR_ATOM = np.array(PAIR_ROWS[-1][1], dtype=np.int64)
-
-# The Bell–Boole rows of a triple i < j < k on (p_i, p_j, p_k, p_ij, p_ik, p_jk), each as coefficients
-# and an upper bound: p_i + p_j + p_k - p_ij - p_ik - p_jk <= 1, then p_ij + p_ik - p_jk <= p_i and its
-# two rotations. Under the covariance map they are the triangle inequalities of the cut polytope.
-TRIANGLE_ROWS = (
-    ((1, 1, 1, -1, -1, -1), 1),
-    ((-1, 0, 0, 1, 1, -1), 0),
-    ((0, -1, 0, 1, -1, 1), 0),
-    ((0, 0, -1, -1, 1, 1), 0),
-)
-_TRIANGLE_COEFFICIENTS = np.array([c for c, _ in TRIANGLE_ROWS], dtype=np.int64).T
-
-
-class Gathers(NamedTuple):
-    """Positions in a scheme's order that membership's vectorised checks gather.
-
-    ``below[k]`` and ``above[k]`` are the positions of the k-th proper-subset
-    pair of sets. ``pairs`` holds the positions of ({i}, {j}, {i, j}) for
-    every pair whose three sets are all in the scheme, and ``triples`` those
-    of ({i}, {j}, {k}, {i, j}, {i, k}, {j, k}) for every triple whose six
-    sets are, both in lexicographic order.
-    """
-
-    below: np.ndarray
-    above: np.ndarray
-    pairs: np.ndarray
-    triples: np.ndarray
 
 
 class SchemeLayout:
     """What presentation and membership read of a scheme, kept with it as ``ConjunctionScheme.layout``.
 
     ``order`` lists the sets by size, then lexicographically, and ``masks``
-    their bitmasks. ``gathers`` is built on first use, so a vector that is
-    only listed, or that its proposal decides, never builds it.
+    their bitmasks. ``row_positions`` is built on first use, so a vector that
+    is only listed, or that its proposal decides, never builds it.
     """
 
     def __init__(self, scheme: "ConjunctionScheme") -> None:
@@ -109,17 +86,28 @@ class SchemeLayout:
         self.masks = tuple(map(lattice.mask, self.order))
 
     @cached_property
-    def gathers(self) -> Gathers:
-        n = self.n
+    def row_positions(self) -> tuple:
+        """One int array per ``ROW_FAMILIES`` family, a row of positions for each gather.
+
+        Positions index the values in ``order``, then p_∅ (at m, the set
+        count) and p_never (at m + 1). Differences list range-low and
+        range-high set by set, then monotonicity by a, then by b. Pairs gather
+        ({i}, {j}, {i, j}, ∅) for every pair whose three sets are all in the
+        scheme, and triples ({i}, {j}, {k}, {i, j}, {i, k}, {j, k}, ∅) for
+        every triple whose six sets are, both in lexicographic order.
+        """
+        n, empty = self.n, len(self.masks)
         # a is a proper subset of b when mask_a & ~mask_b == 0 and a != b; sorted by size, a comes first,
         # and nonzero lists the pairs by a, then by b.
         bits = np.array(self.masks, dtype=np.int64 if n < 63 else object)
         subset = (bits[:, None] & ~bits) == 0
         np.fill_diagonal(subset, False)
         below, above = np.nonzero(subset)
+        ranges = np.array([row for k in range(empty) for row in ((empty + 1, k), (k, empty))], dtype=np.intp)
+        differences = np.concatenate([ranges.reshape(-1, 2), np.column_stack([above, below])])
         # Complete pairs by their two bits, in the order's lexicographic order, each with the positions of
         # {i}, {j} and {i, j}; then every j's complete partners k > j, in increasing order.
-        at = dict(zip(self.masks, range(len(self.masks))))
+        at = dict(zip(self.masks, range(empty)))
         pairs, partners = {}, {}
         for mask, k in at.items():
             low = mask & -mask
@@ -128,12 +116,11 @@ class SchemeLayout:
                 pairs[low, high] = (at[low], at[high], k)
                 partners.setdefault(low, []).append(high)
         triples = [
-            (i, j, pairs[b, c][1], ab, pairs[a, c][2], pairs[b, c][2])
+            (i, j, pairs[b, c][1], ab, pairs[a, c][2], pairs[b, c][2], empty)
             for (a, b), (i, j, ab) in pairs.items() for c in partners.get(b, ()) if (a, c) in pairs
         ]
-        pairs = np.array(list(pairs.values()), dtype=np.intp).reshape(-1, 3)
-        triples = np.array(triples, dtype=np.intp).reshape(-1, 6)
-        return Gathers(below, above, pairs, triples)
+        pairs = np.array([(*pair, empty) for pair in pairs.values()], dtype=np.intp).reshape(-1, 4)
+        return differences, pairs, np.array(triples, dtype=np.intp).reshape(-1, 7)
 
 
 @dataclass(frozen=True)
@@ -192,6 +179,8 @@ class CorrelationVector:
             raise SchemeMismatch("vector values must cover the scheme's sets exactly")
         if not all(isinstance(v, Fraction) for v in self.values.values()):
             raise SchemeMismatch("vector values must be Fractions")
+        if self.proposal is not None and not isinstance(self.proposal, lattice.Decomposition):
+            raise SchemeMismatch(f"a proposal must be a Decomposition, got {type(self.proposal).__name__}")
 
     def __getitem__(self, index_set: Iterable[int]) -> Fraction:
         key = frozenset(index_set)
@@ -246,50 +235,23 @@ def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
-def _quick_separation(layout: SchemeLayout, scale: int, values: np.ndarray) -> Outside | None:
-    """Cheap certificates before the LP: range bounds and monotonicity.
+def _row_separation(layout: SchemeLayout, values: np.ndarray) -> Outside | None:
+    """The first violated row of ``ROW_FAMILIES``, family by family, as an Outside verdict; None if all hold.
 
-    Both come straight from the vertex structure: every vertex component lies
-    in {0, 1}, and components can only shrink as conjunctions grow. If either
-    fails, the violating comparison itself is a valid separating functional,
-    so these shortcuts can never disagree with the LP verdict. ``values`` are
-    the vector's numerators over ``scale`` in ``layout.order``.
+    ``values`` are the vector's numerators in ``layout.order``, then their
+    common denominator (p_∅) and 0 (p_never). Every row is valid on every
+    vertex, so a violation proves Outside, and its coefficients (+-1 and 0)
+    are already in lowest integer form: its real-set terms are the
+    certificate and its p_∅ coefficient is the offset.
     """
-    order = layout.order
-    outside = (values < 0) | (values > scale)
-    if outside.any():
-        i = int(np.argmax(outside))
-        if values[i] < 0:
-            return Outside({order[i]: Fraction(-1)}, Fraction(0))
-        return Outside({order[i]: Fraction(1)}, Fraction(-1))
-    below, above, _, _ = layout.gathers
-    violated = values[above] > values[below]
-    if violated.any():
-        k = int(np.argmax(violated))
-        return Outside({order[above[k]]: Fraction(1), order[below[k]]: Fraction(-1)}, Fraction(0))
+    for coefficients, positions in zip(ROW_FAMILIES, layout.row_positions):
+        over = np.dot(values[positions], coefficients) > 0
+        if over.any():
+            t, r = divmod(int(np.argmax(over)), coefficients.shape[1])
+            row, empty = dict(zip(positions[t].tolist(), coefficients[:, r].tolist())), len(layout.order)
+            cert = {layout.order[k]: Fraction(c) for k, c in row.items() if c and k < empty}
+            return Outside(cert, Fraction(row.get(empty, 0)))
     return None
-
-
-def _facet_separation(layout: SchemeLayout, scale: int, values: np.ndarray) -> Outside | None:
-    """The first violated Bell–Boole facet as an Outside verdict: pair atoms, then triangle rows.
-
-    Each row is valid on every vertex, so a violation proves Outside, and the
-    row as it stands (coefficients +-1, offset -1 or 0) is already in lowest
-    integer form. ``values`` are numerators over ``scale`` that quick
-    separation has bounded by ``scale``, so no row sum leaves 6 scale.
-    """
-    _, _, pairs, triples = layout.gathers
-    over = values[pairs] @ _PAIR_ATOM > PAIR_ROWS[-1][3] * scale
-    if over.any():
-        positions, (_, coefficients, _, bound) = pairs[np.argmax(over)], PAIR_ROWS[-1]
-    else:
-        over = values[triples] @ _TRIANGLE_COEFFICIENTS > [b * scale for _, b in TRIANGLE_ROWS]
-        if not over.any():
-            return None
-        t, r = divmod(int(np.argmax(over)), len(TRIANGLE_ROWS))
-        positions, (coefficients, bound) = triples[t], TRIANGLE_ROWS[r]
-    cert = {layout.order[k]: Fraction(c) for k, c in zip(positions, coefficients) if c}
-    return Outside(cert, Fraction(-bound))
 
 
 def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | None:
@@ -328,9 +290,10 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
 
     The checks run in a fixed order and the first that decides returns:
     the vector's ``proposal``, checked exactly and returned as the Inside
-    verdict when it reproduces the vector; quick separation; the Bell–Boole
-    facets of the scheme's complete pairs and triples; and the phase-1
-    simplex, which decides every vector that reaches it.
+    verdict when it reproduces the vector; the first violated row of
+    ``ROW_FAMILIES`` (range and monotonicity, then the Bell–Boole pair atoms
+    and triangles of the scheme's complete pairs and triples); and the
+    phase-1 simplex, which decides every vector that reaches it.
     """
     n = p.scheme.n
     if n > n_max:
@@ -341,11 +304,10 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     if checked is not None:
         return checked
     scale, nums = scaled([p.values[s] for s in layout.order])
-    # int64 must hold every numerator for the range check; past it each lies in [0, scale], and a facet
-    # row sum within 6 scale.
+    # int64 must hold every row sum: the widest row has seven terms of coefficient +-1.
     peak = max(scale, *map(abs, nums))
-    values = np.array(nums, dtype=np.int64 if 6 * peak <= lattice.INT64_MAX else object)
-    separated = _quick_separation(layout, scale, values) or _facet_separation(layout, scale, values)
+    values = np.array([*nums, scale, 0], dtype=np.int64 if 7 * peak <= lattice.INT64_MAX else object)
+    separated = _row_separation(layout, values)
     if separated is not None:
         return separated
 

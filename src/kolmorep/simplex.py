@@ -31,7 +31,7 @@ unimodular steps: the entering direction's pivot entry equals D, so the new
 basis has the old determinant (91% of the 4,561 pivots that the 77 systems
 of the membership benchmark's mix and nudge items that still reach the
 simplex make; its effective vectors are decided by their proposals and 35
-nudge items by quick separation or a Bell–Boole facet). Every product of the
+nudge items by a violated row of ``polytope.ROW_FAMILIES``). Every product of the
 direction and the pivot row is then a multiple of D, and the update
 ``tab - direction row / D`` skips the scaling pass, and the division too
 when D = 1.

@@ -26,7 +26,7 @@ from kolmorep import (
     representation_from_weights,
     vertex,
 )
-from kolmorep import lattice, polytope
+from kolmorep import ch, lattice, polytope
 from kolmorep.simplex import solve_zero_one_feasibility
 from reference_simplex import solve_zero_one_feasibility as reference_solve
 
@@ -121,6 +121,12 @@ def test_a_vector_off_its_scheme_is_a_scheme_mismatch(values, message):
         CorrelationVector(ConjunctionScheme.singletons(2), values)
 
 
+@pytest.mark.parametrize("proposal", [{(1,): F(1, 2), (0,): F(1, 2)}, ((0, 1), (1, 1)), F(1, 2)])
+def test_a_proposal_that_is_not_a_decomposition_is_a_scheme_mismatch(proposal):
+    with pytest.raises(SchemeMismatch, match=f"^a proposal must be a Decomposition, got {type(proposal).__name__}$"):
+        CorrelationVector(ConjunctionScheme.singletons(1), {frozenset({1}): F(1, 2)}, proposal=proposal)
+
+
 def test_a_vector_lookup_outside_its_scheme_is_a_scheme_mismatch():
     v = CorrelationVector(ConjunctionScheme.singletons(2), {frozenset({1}): F(1, 2), frozenset({2}): F(1, 3)})
     with pytest.raises(SchemeMismatch, match=r"^\[1, 2\] is not part of the scheme$"):
@@ -192,7 +198,7 @@ def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     verdict = membership(p)
     assert isinstance(verdict, Outside)
     assert certificate_is_valid(p, verdict)
-    # the quick separation must agree with a raw LP run on the same system
+    # the violated difference row must agree with a raw LP run on the same system
     rows = [(0, F(1)), (0b01, F(1, 4)), (0b11, F(1, 2))]
     assert isinstance(solve_zero_one_feasibility(2, rows), tuple)
 
@@ -352,51 +358,61 @@ def test_a_proposal_never_makes_an_outside_vector_inside():
     assert isinstance(verdict, Outside) and certificate_is_valid(p, verdict)
 
 
-# --- Bell-Boole facets ------------------------------------------------------------
+# --- the row table: differences, pair atoms and triangles ---------------------------
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_every_facet_row_holds_on_every_vertex_of_the_complete_pair_scheme(n):
     scheme = pair_scheme(n)
     layout = scheme.layout
-    pairs, triples = layout.gathers.pairs, layout.gathers.triples
-    assert pairs.shape == (n * (n - 1) // 2, 3) and triples.shape == (n * (n - 1) * (n - 2) // 6, 6)
+    differences, pairs, triples = layout.row_positions
+    monotone = sum(a < b for a in scheme.sets for b in scheme.sets)
+    assert differences.shape == (2 * len(scheme.sets) + monotone, 2)
+    assert pairs.shape == (n * (n - 1) // 2, 4) and triples.shape == (n * (n - 1) * (n - 2) // 6, 7)
     for bits in itertools.product((0, 1), repeat=n):
         p = vertex(bits, scheme)
-        values = [int(p.values[s]) for s in layout.order]
+        values = [int(p.values[s]) for s in layout.order] + [1, 0]  # then p_empty = 1 and p_never = 0
+        for coefficients, gathers in zip(polytope.ROW_FAMILIES, layout.row_positions):
+            for positions in gathers:
+                for column in coefficients.T:
+                    assert sum(int(c) * values[k] for c, k in zip(column, positions)) <= 0
+        # ch's bounded pair rows, on ({i}, {j}, {i, j}).
         for positions in pairs:
-            terms = [values[k] for k in positions]
-            for _, coefficients, lower, upper in polytope.PAIR_ROWS:
+            terms = [values[k] for k in positions[:3]]
+            for _, coefficients, lower, upper in ch.PAIR_ROWS:
                 row = sum(c * x for c, x in zip(coefficients, terms))
                 assert (lower is None or lower <= row) and (upper is None or row <= upper)
-        for positions in triples:
-            terms = [values[k] for k in positions]
-            for coefficients, upper in polytope.TRIANGLE_ROWS:
-                assert sum(c * x for c, x in zip(coefficients, terms)) <= upper
-        assert polytope._facet_separation(layout, 1, np.array(values, dtype=np.int64)) is None
+        assert polytope._row_separation(layout, np.array(values, dtype=np.int64)) is None
 
 
 def test_facet_rows_gather_their_sets_in_lexicographic_order():
     layout = pair_scheme(4).layout
-    sets = lambda positions: [sorted(layout.order[k]) for k in positions]  # noqa: E731
-    pairs = itertools.combinations(range(1, 5), 2)
-    assert [sets(row) for row in layout.gathers.pairs] == [[[i], [j], [i, j]] for i, j in pairs]
-    assert [sets(row) for row in layout.gathers.triples] == [
-        [[i], [j], [k], [i, j], [i, k], [j, k]] for i, j, k in itertools.combinations(range(1, 5), 3)
+    m = len(layout.order)
+    names = {m: "empty", m + 1: "never"}
+    sets = lambda positions: [names.get(k) or sorted(layout.order[k]) for k in positions]  # noqa: E731
+    differences, pairs, triples = layout.row_positions
+    pair_sets = [[[i], [j], [i, j], "empty"] for i, j in itertools.combinations(range(1, 5), 2)]
+    assert [sets(row) for row in pairs] == pair_sets
+    assert [sets(row) for row in triples] == [
+        [[i], [j], [k], [i, j], [i, k], [j, k], "empty"] for i, j, k in itertools.combinations(range(1, 5), 3)
     ]
+    # Range-low and range-high set by set, then p_b <= p_a for every proper subset a of b, by a and then by b.
+    ranges = [row for s in layout.order for row in (["never", sorted(s)], [sorted(s), "empty"])]
+    monotone = [[sorted(b), sorted(a)] for a in layout.order for b in layout.order if a < b]
+    assert [sets(row) for row in differences] == ranges + monotone
 
 
 def test_a_scheme_without_a_complete_triple_has_no_triangle_rows():
     from kolmorep import ch_scheme
-    layout = ch_scheme().layout
-    assert [sorted(layout.order[k]) for k in layout.gathers.pairs[:, 2]] == [[1, 3], [1, 4], [2, 3], [2, 4]]
-    assert layout.gathers.triples.shape == (0, 6)
+    _, pairs, triples = ch_scheme().layout.row_positions
+    assert [sorted(ch_scheme().layout.order[k]) for k in pairs[:, 2]] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+    assert triples.shape == (0, 7)
     # A pair whose singletons are missing is not complete either.
-    assert ConjunctionScheme.make(3, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}]).layout.gathers.pairs.shape == (1, 3)
+    assert ConjunctionScheme.make(3, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}]).layout.row_positions[1].shape == (1, 4)
 
 
 def test_the_layout_is_built_once_per_scheme():
     scheme = pair_scheme(3)
-    assert scheme.layout is scheme.layout and scheme.layout.gathers is scheme.layout.gathers
+    assert scheme.layout is scheme.layout and scheme.layout.row_positions is scheme.layout.row_positions
     assert list(scheme.layout.order) == sorted(scheme.sets, key=lambda s: (len(s), sorted(s)))
     assert scheme.layout.masks == tuple(lattice.mask(s) for s in scheme.layout.order)
 
@@ -429,6 +445,66 @@ def test_a_violated_facet_decides_outside_without_the_simplex(monkeypatch, p, ce
     assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
 
 
+def singles(*values):
+    return CorrelationVector(ConjunctionScheme.singletons(len(values)),
+                             {frozenset({i}): v for i, v in enumerate(values, start=1)})
+
+
+def chain(scheme_sets, values):
+    scheme = ConjunctionScheme.make(3, scheme_sets)
+    return CorrelationVector(scheme, {frozenset(s): v for s, v in zip(scheme_sets, values)})
+
+
+# Range-low p_I >= 0 gives {I: -1} with offset 0, range-high p_I <= 1 gives {I: 1} with offset -1, and
+# monotonicity p_b <= p_a gives {b: 1, a: -1} with offset 0. Range rows come set by set, before every
+# monotonicity row, which come by a and then by b.
+DIFFERENCE_CASES = {
+    "range-high before a later range-low": (singles(F(3, 2), F(-1, 8)), {(1,): 1}, -1),
+    "range-low before a later range-high": (singles(F(1, 2), F(-1, 8), F(3, 2)), {(2,): -1}, 0),
+    "range before monotonicity": (chain([{1}, {1, 2}], [F(1, 4), F(3, 2)]), {(1, 2): 1}, -1),
+    # p12 > p2 and p13 > p1: a = {1} comes first although {1, 2} comes before {1, 3}.
+    "monotonicity by a": (chain([{1}, {2}, {3}, {1, 2}, {1, 3}], [F(1, 2), F(1, 4), F(1), F(3, 8), F(3, 4)]),
+                          {(1, 3): 1, (1,): -1}, 0),
+    "monotonicity by b within a": (chain([{1}, {1, 2}, {1, 3}], [F(1, 4), F(1, 2), F(1, 2)]), {(1, 2): 1, (1,): -1}, 0),
+}
+# Numerators over 2^62: seven of them leave int64, so the rows run on Python ints.
+PYTHON_INT_CASES = {
+    "range-low": (singles(F(1, 2), -TINY), {(2,): -1}, 0),
+    "range-high": (singles(1 + TINY, F(1, 2)), {(1,): 1}, -1),
+    "monotonicity": (chain([{1}, {1, 2}], [F(1, 2), F(1, 2) + TINY]), {(1, 2): 1, (1,): -1}, 0),
+}
+
+
+@pytest.mark.parametrize("p, certificate, offset", DIFFERENCE_CASES.values(), ids=DIFFERENCE_CASES)
+def test_the_first_violated_difference_is_the_exact_witness(monkeypatch, p, certificate, offset):
+    no_simplex(monkeypatch)
+    verdict = membership(p)
+    assert verdict == Outside({frozenset(s): F(c) for s, c in certificate.items()}, F(offset))
+    assert list(verdict.certificate) == [frozenset(s) for s in certificate]
+    assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
+
+
+@pytest.mark.parametrize("p, certificate, offset", PYTHON_INT_CASES.values(), ids=PYTHON_INT_CASES)
+def test_a_difference_past_int64_is_decided_on_python_ints(monkeypatch, p, certificate, offset):
+    no_simplex(monkeypatch)
+    dtypes, separate = [], polytope._row_separation
+    monkeypatch.setattr(polytope, "_row_separation",
+                        lambda layout, values: dtypes.append(values.dtype) or separate(layout, values))
+    verdict = membership(p)
+    assert dtypes == [np.dtype(object)]
+    assert verdict == Outside({frozenset(s): F(c) for s, c in certificate.items()}, F(offset))
+    assert list(verdict.certificate) == [frozenset(s) for s in certificate]
+
+
+def test_a_row_bound_past_int64_is_compared_exactly():
+    # 1/2 of 100, 1/D of 010 and the rest on 001 lies on p1 + p2 + p3 - p12 - p13 - p23 <= 1. With D = 2^63 + 2
+    # the common denominator fits uint64 but not int64; a bound read as a float (2^63) would reject it.
+    D = 2**63 + 2
+    p = mixture(pair_scheme(3), [((1, 0, 0), F(1, 2)), ((0, 1, 0), F(1, D)), ((0, 0, 1), F(1, 2) - F(1, D))])
+    verdict = membership(p)
+    assert isinstance(verdict, Inside) and reproduces(verdict.weights, p)
+
+
 def nudged_mixture(rng, n, nudge):
     """A random mixture of three vertices of the pair scheme, one pair value moved by 1/16 when ``nudge``."""
     scheme = pair_scheme(n)
@@ -446,8 +522,8 @@ def nudged_mixture(rng, n, nudge):
 def test_facet_verdicts_agree_with_the_reference_simplex_and_their_witnesses_check(monkeypatch):
     rng = random.Random(25)
     witnesses = []
-    facets = polytope._facet_separation
-    monkeypatch.setattr(polytope, "_facet_separation", lambda *args: witnesses.append(facets(*args)) or witnesses[-1])
+    separate = polytope._row_separation
+    monkeypatch.setattr(polytope, "_row_separation", lambda *args: witnesses.append(separate(*args)) or witnesses[-1])
     decided = 0
     for n in range(2, 7):
         for k in range(8):
@@ -456,7 +532,7 @@ def test_facet_verdicts_agree_with_the_reference_simplex_and_their_witnesses_che
             rows = [(0, F(1))] + [(lattice.mask(s), p.values[s]) for s in p.scheme.layout.order]
             assert isinstance(verdict, Inside) == isinstance(reference_solve(n, rows), dict)
             if witnesses and witnesses[-1] is verdict:
-                decided += 1
+                decided += len(verdict.certificate) >= 3  # a pair atom or a triangle, not a difference
                 assert certificate_is_valid(p, verdict) and brute_force_valid(p, verdict)
     assert decided >= 8
 
