@@ -201,8 +201,9 @@ class SetupDistribution:
         if sum(self.weights.values(), _ZERO) != 1:
             raise InvalidDistribution("context weights must sum to one")
 
-    @property
+    @cached_property
     def support(self) -> tuple:
+        """The positive-weight contexts, sorted by their sorted indices, found once per distribution."""
         return tuple(sorted((j for j, w in self.weights.items() if w > 0), key=sorted))
 
     @cached_property

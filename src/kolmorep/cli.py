@@ -5,8 +5,9 @@ payload is the dict that ``--format json`` prints, with every number already
 formatted once; `main` alone picks the view, JSON or the command's text
 renderer, which reads only the payload. `simulate` writes its records
 itself (CSV, or JSON with ``--format json``, to stdout or ``-o``): the
-serialize writers build every record's text from the trial columns, with no
-dict per trial, so there is no records payload for `main` to print.
+serialize writers build the records' text from the trial columns in one
+join, with no string per trial, so there is no records payload for `main`
+to print.
 
 `main` may be called any number of times in one process; the calls share
 one parser, built on the first call, so each pays only for its command.

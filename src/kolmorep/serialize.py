@@ -245,11 +245,28 @@ def censored_space_to_json(censored: CensoredSpace) -> dict:
 
 # --- simulation output -----------------------------------------------------
 
-def _per_trial(trials: Trials, render) -> list:
-    """`render(names, bits)` once per (context, outcome) cell, listed per trial."""
-    cells = [render(names, bits) for names, points in zip(trials.names, trials.points) for bits in points]
-    first = np.cumsum([0, *(len(points) for points in trials.points)])[:-1]
-    return [cells[c] for c in (first[trials.context] + trials.outcome).tolist()]
+def _join_records(trials: Trials, opening: str, head: str, render, sep: str, closing: str) -> str:
+    """`opening`, each trial's record, then `closing`, built in one join with no string per trial.
+
+    Trial t's record is `head`, the number t, the tail text that
+    `render(names, bits)` gives its (context, outcome) cell, and `sep` (the
+    last record has no `sep`). Each cell is rendered once. The number is
+    written as its decade prefix ``str(t // 10)``, empty below 10 and
+    appended to `head` once per ten trials, then its last digit, folded into
+    that cell's ten "digit + tail" strings; each trial takes two list slots.
+    """
+    count = len(trials)
+    tails = [render(names, bits) for names, points in zip(trials.names, trials.points) for bits in points]
+    decades = np.array([head] + [f"{head}{q}" for q in range(1, -(-count // 10))], dtype=object)
+    digits = np.array([f"{d}{tail}{sep}" for tail in tails for d in range(10)], dtype=object)
+    parts = np.empty(2 * count + 2, dtype=object)
+    parts[0], parts[-1] = opening, closing
+    parts[1:-1:2] = np.repeat(decades, 10)[:count]
+    parts[2:-1:2] = digits[trials.cell * 10 + np.arange(count) % 10]
+    if count:
+        parts[-2] = f"{(count - 1) % 10}{tails[trials.cell[-1]]}"
+    parts = parts.tolist()  # drop the array before the join: the text is the peak
+    return "".join(parts)
 
 
 def _csv_row(fields: list) -> str:
@@ -262,31 +279,35 @@ def records_to_csv(trials: Trials, seed: int) -> str:
     """CSV stream with a reproducibility header comment line.
 
     `csv.writer` writes each (context, outcome) cell's row after the trial
-    number once; each trial's row is its number followed by that text.
+    number once; each trial's row is its number followed by that text, put
+    together by `_join_records`.
     """
-    tails = _per_trial(trials, lambda names, bits: _csv_row(["", "+".join(names), "".join(map(str, bits))]))
-    rows = "".join([f"{t}{tail}" for t, tail in enumerate(tails)])
-    return f"# prng={PRNG_ALGORITHM} seed={seed}\n{_csv_row(['trial', 'context', 'bits'])}{rows}"
+    opening = f"# prng={PRNG_ALGORITHM} seed={seed}\n{_csv_row(['trial', 'context', 'bits'])}"
+    return _join_records(
+        trials, opening, "", lambda names, bits: _csv_row(["", "+".join(names), "".join(map(str, bits))]), "", ""
+    )
 
 
-def _json_record(names, bits) -> tuple:
-    """A cell's record as `json.dumps(indent=2)` writes it inside "records", split at the trial number."""
+_JSON_RECORD_HEAD = '    {\n      "trial": '  # "trial" is the first key, so every record starts alike
+
+
+def _json_record_tail(names, bits) -> str:
+    """A cell's record as `json.dumps(indent=2)` writes it inside "records", after the trial number."""
     text = json.dumps({"trial": 0, "context": list(names), "bits": "".join(map(str, bits))}, indent=2)
-    head, _, tail = ("    " + text.replace("\n", "\n    ")).partition('"trial": 0')
-    return head + '"trial": ', tail
+    return text.replace("\n", "\n    ").partition('"trial": 0')[2]
 
 
 def records_to_json(trials: Trials, payload: dict) -> str:
     """`json.dumps` of the non-empty `payload` plus a "records" list, indent 2, byte for byte.
 
     Each (context, outcome) cell's record is dumped once; each trial's record
-    is that text with the trial's number spliced in.
+    is that text with the trial's number spliced in, and `_join_records`
+    puts the payload's head, the records and the closing brackets together.
     """
     if not len(trials):
         return json.dumps({**payload, "records": []}, indent=2)
-    cells = _per_trial(trials, _json_record)
-    records = ",\n".join([f"{head}{t}{tail}" for t, (head, tail) in enumerate(cells)])
-    return f'{json.dumps(payload, indent=2)[:-2]},\n  "records": [\n{records}\n  ]\n}}'
+    opening = f'{json.dumps(payload, indent=2)[:-2]},\n  "records": [\n'
+    return _join_records(trials, opening, _JSON_RECORD_HEAD, _json_record_tail, ",\n", "\n  ]\n}")
 
 
 def estimates_to_json(estimates: Iterable[FrequencyEstimate], seed: int, trials: int) -> dict:

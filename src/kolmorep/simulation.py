@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -49,6 +51,12 @@ class Trials:
 
     def __len__(self) -> int:
         return len(self.context)
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        """Per trial, its (context, outcome) cell: the cells are numbered context by context, found once."""
+        starts = np.cumsum([0, *map(len, self.points[:-1])])
+        return starts[self.context] + self.outcome
 
     def __iter__(self) -> Iterator[TrialRecord]:
         for t, (k, o) in enumerate(zip(self.context.tolist(), self.outcome.tolist())):
@@ -114,10 +122,8 @@ def estimate(trials: Trials, queries: Iterable) -> list:
     named outcome bits are 1. Standard errors are binomial.
     """
     total = len(trials)
-    counts = [  # per context, the trials that saw each of its outcome points
-        np.bincount(trials.outcome[trials.context == k], minlength=len(points)).tolist()
-        for k, points in enumerate(trials.points)
-    ]
+    cells = iter(np.bincount(trials.cell, minlength=sum(map(len, trials.points))).tolist())
+    counts = [list(islice(cells, len(points))) for points in trials.points]  # per context, per outcome point
     results = []
     for outcomes, performed in queries:
         outcomes = tuple(outcomes)

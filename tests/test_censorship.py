@@ -359,6 +359,15 @@ def test_point_mass_on_single_context(orsay_setup):
     assert dist.support == (frozenset({1, 3}),)
 
 
+def test_support_is_the_sorted_positive_weight_contexts_found_once(orsay_setup):
+    suite, _ = orsay_setup
+    weights = {frozenset({2, 4}): F(1, 2), frozenset({1, 4}): F(0), frozenset({2, 3}): F(1, 4), frozenset({1, 3}): F(1, 4)}
+    dist = validate_distribution(weights, suite)
+    support = dist.support
+    assert support == (frozenset({1, 3}), frozenset({2, 3}), frozenset({2, 4}))
+    assert dist.support is support
+
+
 def test_switch_probability(orsay_setup):
     _, dist = orsay_setup
     assert switch_probability(dist, {1}) == F(1, 2)

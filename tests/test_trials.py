@@ -1,6 +1,7 @@
 """Columnar trials against the per-record reference path: same records, estimates and bytes."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,9 @@ from kolmorep.serialize import estimates_to_json, records_to_csv, records_to_jso
 from kolmorep.simulation import Trials, estimate, run
 
 F = Fraction
+# Trial counts where the writers' decade split changes shape: the last record's
+# digit and the length of its decade prefix.
+DECADE_EDGES = [9, 10, 11, 99, 100, 101, 1000, 1001, 10001]
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +75,29 @@ def test_random_rational_suites_match_the_reference(seed, trials):
     assert_matches_reference(suite, dist, trials, seed)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 4999])
+@pytest.mark.parametrize("trials", DECADE_EDGES)
+def test_a_random_rational_suite_matches_the_reference_at_decade_edges(trials):
+    suite, dist, _ = random_censorship_case(random.Random("trials/0"), dim_choices=(2, 4), n_range=(2, 4))
+    assert_matches_reference(suite, dist, trials, seed=trials)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 4999, *DECADE_EDGES])
 def test_orsay_matches_the_reference(orsay_setup, trials):
     assert_matches_reference(*orsay_setup, trials, seed=trials)
+
+
+def test_the_json_writer_peaks_near_the_text_it_returns(orsay_setup):
+    """No string per trial and one join: the writer's peak is the text plus one list of parts."""
+    suite, dist = orsay_setup
+    trials = run(suite, dist, 30_000, seed=3)
+    payload = estimates_to_json(estimate(trials, queries_for(suite)), 3, 30_000)
+    tracemalloc.start()
+    try:
+        text = records_to_json(trials, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text), (peak, len(text))
 
 
 def test_names_that_need_escaping_match_the_reference():
@@ -85,7 +109,7 @@ def test_names_that_need_escaping_match_the_reference():
     )
     weights = {frozenset({1, 2}): F(1, 2), frozenset({3, 4, 5}): F(1, 4), frozenset({1, 5}): F(1, 4)}
     dist = validate_distribution(weights, suite)
-    for trials in (1, 2, 4999):
+    for trials in (1, 2, 4999, *DECADE_EDGES):
         text_csv, text_json = assert_matches_reference(suite, dist, trials, seed=trials)
     assert '"a,b+say ""hi"""' in text_csv and "x+y+back\\slash" in text_csv
     assert "\\\\slash" in text_json and '\\"hi\\"' in text_json and "\\u03c8-d\\u00e9tecteur" in text_json
