@@ -10,10 +10,11 @@ then
     (total weight of contexts covering I1 and I2) x tr(W prod_{i in I1} A_i),
 
 zero whenever the required measurements cannot coexist. This module inverts
-each context's moments into integer atoms, glues them, each times its context's
-weight, into one probability space on the disjoint union of the contexts'
-outcomes, and verifies that it reproduces every effective probability. The only
-floats are the moments tr(W prod_{i in I} A_i); each is identified with an
+each context's moments into integer atoms and glues them once (``_glued``),
+each times its context's weight, into one probability space on the disjoint
+union of the contexts' outcomes, and verifies from the space's events alone
+that it reproduces every effective probability. The only floats are the
+moments tr(W prod_{i in I} A_i); each is identified with an
 exact fraction once per suite (``MeasurementSuite.moment``), under the policy
 fixed when the suite is built, and every mass and probability is derived from
 those fractions exactly, so verification is exact and the context marginals
@@ -161,9 +162,14 @@ class MeasurementSuite:
         )
 
 
+def _is_index(i) -> bool:
+    """Whether `i` reads as an integer index: it has ``__index__`` and is not a bool."""
+    return hasattr(i, "__index__") and not isinstance(i, (bool, np.bool_))
+
+
 def _index(i, what: str = "measurement index") -> int:
     """A measurement index (or order) as an int; a bool or a non-integer raises ``KolmorepError`` naming it."""
-    if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+    if not _is_index(i):
         raise KolmorepError(f"{what} {i!r} is not an integer")
     return operator.index(i)
 
@@ -182,16 +188,18 @@ def compute_compatibility(suite: MeasurementSuite) -> MeasurementSuite:
 
 @dataclass(frozen=True)
 class SetupDistribution:
-    """Classical switch weights over compatible contexts: non-negative Fractions summing to one.
+    """Classical switch weights: non-negative Fractions summing to one on non-empty frozensets of indices.
 
     Whether the contexts fit a suite is ``validate_distribution``'s check;
-    ``effective_probability`` still refuses indices outside the suite.
+    ``effective_probability`` and ``verify_censorship`` still refuse supports outside the suite.
     """
 
     weights: Mapping  # frozenset of indices -> Fraction
 
     def __post_init__(self) -> None:
         for j, w in self.weights.items():
+            if not (isinstance(j, frozenset) and j and all(map(_is_index, j))):
+                raise InvalidDistribution(f"context {j!r} is not a set of integer measurement indices")
             if not isinstance(w, Fraction):
                 raise InvalidDistribution(
                     f"weight {w!r} on context {sorted(j)} is not a Fraction; build weights with validate_distribution"
@@ -296,6 +304,14 @@ def _outcome_points(k: int) -> tuple:
     return ids, tuple(frozenset(pid for pid in ids if pid[pos] == "1") for pos in range(k))
 
 
+def _check_support(suite: MeasurementSuite, dist: SetupDistribution) -> None:
+    """Refuse a distribution whose support names an index outside the suite's 1..n."""
+    low, high = dist.index_range
+    if low < 1 or high > suite.n:
+        bad = high if high > suite.n else low
+        raise InvalidDistribution(f"a supported context names measurement {bad}, outside the suite's 1..{suite.n}")
+
+
 def effective_probability(
     suite: MeasurementSuite, dist: SetupDistribution, outcomes: Iterable[int], switches: Iterable[int]
 ) -> Fraction:
@@ -309,12 +325,7 @@ def effective_probability(
     i1 = frozenset(outcomes)
     union = i1 | frozenset(switches)
     suite._mask_of(union)  # indices outside 1..n raise, as in proj
-    low, high = dist.index_range
-    if low < 1 or high > suite.n:
-        raise InvalidDistribution(
-            f"a supported context names measurement {high if high > suite.n else low}, "
-            f"outside the suite's 1..{suite.n}"
-        )
+    _check_support(suite, dist)
     prior = switch_probability(dist, union)
     if prior == 0 or not i1:
         return prior
@@ -336,14 +347,32 @@ class CensoredSpace:
     switch_events: Mapping  # measurement name -> event key
 
 
+def _glued(suite: MeasurementSuite, dist: SetupDistribution) -> tuple:
+    """The censored space in integers: one denominator, then per support context (names, masks, numerators).
+
+    Contexts follow ``dist.support``; each lists its 2^|J| points from all hits down to all misses, zero atoms
+    kept. Point (J, eps) has the 2n-bit mask of switch bits J (shifted up by n) and outcome bits eps, as in
+    ``effective_decomposition``, and numerator kappa_J times its ``_context_atoms`` atom over the denominator.
+    """
+    n = suite.n
+    kden, kappas = scaled([dist.weights[j] for j in dist.support])
+    contexts = [_context_atoms(j, suite) for j in dist.support]
+    common = lcm(*(den for _, den, _, _ in contexts))
+    glued = []
+    for kappa, (names, den, hits, atoms) in zip(kappas, contexts):
+        switch, scale = hits[0] << n, kappa * (common // den)  # the all-hits point's mask is J itself
+        glued.append((names, [switch | hit for hit in hits], [scale * atom for atom in atoms]))
+    return kden * common, glued
+
+
 def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> CensoredSpace:
-    """Glue the supported contexts into one finite probability space.
+    """Glue the supported contexts into one finite probability space: ``_glued``'s points, rendered.
 
     Only contexts with positive weight contribute points; zero-weight
     contexts would add null atoms without changing any probability. A point
     id is its context's member names joined by ',', then '|' and the context
     point; two contexts whose joined names coincide are rejected. A point's mass
-    is one fraction: kappa_J times its ``_context_atoms`` atom over their denominators.
+    is its glued numerator over the glued denominator.
     """
     points = []
     mass = {}
@@ -351,17 +380,15 @@ def build_censored_space(suite: MeasurementSuite, dist: SetupDistribution) -> Ce
     switch_sets = {name: set() for name in suite.names}
     labelled = {}  # point label -> the names of the context that took it
 
-    for context in dist.support:
-        names = [suite.name_of(i) for i in sorted(context)]
+    den, glued = _glued(suite, dist)
+    for names, _, numerators in glued:
         label = ",".join(names)
         if labelled.setdefault(label, names) is not names:
             raise KolmorepError(f"contexts {labelled[label]} and {names} share the point label {label!r}")
-        _, den, _, atoms = _context_atoms(context, suite)
-        kappa = dist.weights[context]
         ids, hits = _outcome_points(len(names))
         full_ids = {pid: f"{label}|{pid}" for pid in ids}
         points += full_ids.values()
-        mass.update(zip(full_ids.values(), (Fraction(kappa.numerator * a, kappa.denominator * den) for a in atoms)))
+        mass.update(zip(full_ids.values(), (Fraction(w, den) for w in numerators)))
         for name, hit in zip(names, hits):
             switch_sets[name].update(full_ids.values())
             outcome_sets[name].update(map(full_ids.__getitem__, hit))
@@ -396,31 +423,27 @@ class VerificationReport:
         return not self.mismatches
 
 
-def _point_weights(censored: CensoredSpace, suite: MeasurementSuite) -> tuple:
-    """Common denominator and the scaled masses per 2n-bit event mask, read off the events only."""
+def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) -> Inside:
+    """The censored space as weights on 2n-bit assignments, outcomes first like ``EffectiveVector``.
+
+    A point's mask is read off the events, never its id: outcome bit i when it lies in measurement i's
+    outcome event, switch bit i (shifted up by n) when in its switch event, so point (J, eps) of an intact
+    space has its ``_glued`` mask. Points on one mask add up; masks of mass zero are left out. When the space
+    verifies, this is an Inside witness for any scheme over the 2n events, found without a linear program.
+    """
     space = censored.space
     keys = [censored.outcome_events[x] for x in suite.names] + [censored.switch_events[x] for x in suite.names]
     masks = dict.fromkeys(space.points, 0)
     for bit, key in enumerate(keys):
         if key not in space.events:
             raise UnknownEvent(f"no event named {key!r}")
+        flag = 1 << bit
         for pid in space.events[key]:
-            masks[pid] |= 1 << bit
+            masks[pid] |= flag
     den, masses = scaled([space.mass[pid] for pid in space.points])
     weights = dict.fromkeys(masks.values(), 0)
     for mask, w in zip(masks.values(), masses):
         weights[mask] += w
-    return den, weights
-
-
-def effective_decomposition(censored: CensoredSpace, suite: MeasurementSuite) -> Inside:
-    """The censored space as weights on 2n-bit assignments, outcomes first like ``EffectiveVector``.
-
-    Point (J, eps) sets outcome bit i when i is in J and eps_i = 1, switch bit i
-    when i is in J. When the space verifies, this is an Inside witness for any
-    scheme over the 2n events, found without a linear program.
-    """
-    den, weights = _point_weights(censored, suite)
     support = {mask: w for mask, w in weights.items() if w}
     return Inside(Decomposition(2 * suite.n, den, tuple(support), tuple(support.values())))
 
@@ -433,7 +456,8 @@ def verify_censorship(
     Runs over all pairs (I1, I2) of outcome and switch index sets with
     |I1 union I2| <= max_order (at least 1; default 2n, every pair).
     Mismatches are collected, not raised, ordered by I1 and then I2, each by
-    size and then lexicographically.
+    size and then lexicographically. The space is read only through its events
+    (``effective_decomposition``); a support outside the suite raises.
 
     The decision is made on switch rows: one exact integer row over the 2^n
     outcome masks o per switch mask sigma that a point or a support context
@@ -457,13 +481,15 @@ def verify_censorship(
     max_order = 2 * n if max_order is None else _index(max_order, "max_order")
     if max_order < 1:
         raise KolmorepError(f"max_order must be at least 1, got {max_order}")
+    _check_support(suite, dist)
     size = 1 << n
 
-    den, point_weights = _point_weights(censored, suite)
+    found = effective_decomposition(censored, suite).weights
+    den = found.denominator
     kden, kappas = scaled([dist.weights[j] for j in dist.support])
     contexts = [lattice.mask(j) for j in dist.support]
     # One row per switch mask: the support contexts first, then the points' other masks.
-    switches = list(dict.fromkeys(contexts + [mask >> n for mask in point_weights]))
+    switches = list(dict.fromkeys(contexts + [mask >> n for mask in found.masks]))
     if len(switches) << n > MAX_COMPARED:
         raise TooLarge(f"{len(switches)} switch rows of 2^{n} entries exceed {MAX_COMPARED} per pass")
     row = {sigma: r for r, sigma in enumerate(switches)}
@@ -484,7 +510,7 @@ def verify_censorship(
     peak = den * max(kden, sum(kappas)) * max(moments, default=1)
     dtype = np.int64 if peak <= INT64_MAX else object
     local, kappa, m = (np.zeros(k, dtype=dtype) for k in ((len(switches), size), len(switches), size))
-    local.flat[[row[mask >> n] * size + (mask & (size - 1)) for mask in point_weights]] = list(point_weights.values())
+    local.flat[[row[mask >> n] * size + (mask & (size - 1)) for mask in found.masks]] = found.numerators
     lattice.superset_sums(local)
     kappa[:len(contexts)] = kappas
     m[needed] = moments
@@ -534,35 +560,14 @@ class EffectiveVector:
         raise SchemeMismatch(f"event index {index} outside 1..{2 * n}")
 
 
-def _censored_proposal(suite: MeasurementSuite, dist: SetupDistribution) -> Decomposition:
-    """The censored space's weights on 2n-bit assignments, in integers over one denominator.
-
-    Point (J, eps) sets switch bits J (shifted up by n) and outcome bits eps, as in
-    ``effective_decomposition``; its numerator is kappa_J times its ``_context_atoms`` atom
-    over the common denominator. Points with a zero atom are left out.
-    """
-    n = suite.n
-    kden, kappas = scaled([dist.weights[j] for j in dist.support])
-    contexts = [_context_atoms(j, suite)[1:] for j in dist.support]
-    common = lcm(*(den for den, _, _ in contexts))
-    masks, numerators = [], []
-    for j, kappa, (den, hits, atoms) in zip(dist.support, kappas, contexts):
-        switch, scale = lattice.mask(j) << n, kappa * (common // den)
-        for hit, atom in zip(hits, atoms):
-            if atom:
-                masks.append(switch | hit)
-                numerators.append(scale * atom)
-    return Decomposition(2 * n, kden * common, tuple(masks), tuple(numerators))
-
-
 def assemble_effective_vector(
     suite: MeasurementSuite, dist: SetupDistribution, scheme: ConjunctionScheme
 ) -> EffectiveVector:
     """Fill a scheme over the 2n outcome/switch events with effective probabilities.
 
     Each entry is ``effective_probability`` of its outcome and switch sets. The
-    vector's proposal is the censored space's decomposition (``_censored_proposal``),
-    which ``membership`` checks before any linear program runs. A support
+    vector's proposal is the censored space's decomposition: ``_glued``'s points of
+    positive mass, which ``membership`` checks before any linear program runs. A support
     context without atoms leaves the vector without one: its measurements do not
     commute (a hand-built distribution) or its moments give a negative atom.
     """
@@ -574,7 +579,10 @@ def assemble_effective_vector(
         for s in scheme.sets
     }
     try:
-        proposal = _censored_proposal(suite, dist)
+        den, glued = _glued(suite, dist)
     except (IncompatibleContext, NumericalFailure):
         proposal = None
+    else:
+        masks, numerators = zip(*((m, w) for _, ms, ws in glued for m, w in zip(ms, ws) if w))
+        proposal = Decomposition(2 * n, den, masks, numerators)
     return EffectiveVector(CorrelationVector(scheme, values, proposal), suite.names)

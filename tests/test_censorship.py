@@ -6,7 +6,7 @@ import time
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
-from math import cos, pi, radians
+from math import cos, lcm, pi, radians
 
 import numpy as np
 import pytest
@@ -325,14 +325,45 @@ def test_a_hand_built_distribution_with_a_negative_weight_or_a_wrong_sum_is_inva
         SetupDistribution(weights)
 
 
-@pytest.mark.parametrize("context, index", [({9}, 9), ({0, 1}, 0), ({1, 5}, 5)])
-def test_effective_probability_refuses_a_supported_context_outside_the_suite(orsay_setup, context, index):
+@pytest.mark.parametrize("context, message", [
+    (frozenset({"A"}), r"^context frozenset\(\{'A'\}\) is not a set of integer measurement indices$"),
+    (frozenset({True}), r"^context frozenset\(\{True\}\) is not a set of integer measurement indices$"),
+    (frozenset({3, np.True_}), r"^context frozenset\(\{.*True.*\}\) is not a set of integer measurement indices$"),
+    (frozenset({1.0}), r"^context frozenset\(\{1\.0\}\) is not a set of integer measurement indices$"),
+    (frozenset(), r"^context frozenset\(\) is not a set of integer measurement indices$"),
+    ((1, 3), r"^context \(1, 3\) is not a set of integer measurement indices$"),
+], ids=["string", "bool", "numpy bool", "float", "empty", "tuple"])
+def test_a_hand_built_context_that_is_not_a_non_empty_frozenset_of_integers_is_invalid(context, message):
+    with pytest.raises(InvalidDistribution, match=message):
+        SetupDistribution({frozenset({2, 4}): F(1, 2), context: F(1, 2)})
+    with pytest.raises(InvalidDistribution, match=message):  # with no weight, too
+        SetupDistribution({frozenset({2, 4}): F(1), context: F(0)})
+
+
+def test_a_hand_built_distribution_reads_numpy_integer_contexts(orsay_setup):
     suite = orsay_setup[0]
+    dist = SetupDistribution({frozenset({np.int64(1), np.int32(3)}): F(1)})
+    assert dist.index_range == (1, 3) and effective_probability(suite, dist, [1], [3]) == suite.moment([1])
+    assert verify_censorship(build_censored_space(suite, dist), suite, dist).ok
+
+
+CHECKS_THE_SUPPORT = {
+    "effective_probability": lambda suite, censored, dist: effective_probability(suite, dist, [1], []),
+    "verify_censorship": lambda suite, censored, dist: verify_censorship(censored, suite, dist),
+}
+
+
+@pytest.mark.parametrize("call", CHECKS_THE_SUPPORT.values(), ids=CHECKS_THE_SUPPORT)
+@pytest.mark.parametrize("context, index", [({9}, 9), ({0, 1}, 0), ({1, 5}, 5), ({2, 5}, 5), ({0}, 0)])
+def test_effective_probability_refuses_a_supported_context_outside_the_suite(orsay_setup, call, context, index):
+    suite, orsay_dist = orsay_setup
+    censored = build_censored_space(suite, orsay_dist)
     dist = SetupDistribution({frozenset({1, 3}): F(1, 2), frozenset(context): F(1, 2)})
     message = rf"^a supported context names measurement {index}, outside the suite's 1\.\.4$"
     with pytest.raises(InvalidDistribution, match=message):
-        effective_probability(suite, dist, [1], [])
+        call(suite, censored, dist)
     # A context with no weight is not part of the support and names nothing.
+    call(suite, censored, SetupDistribution({frozenset({1, 3}): F(1), frozenset(context): F(0)}))
     assert effective_probability(suite, SetupDistribution({frozenset({1, 3}): F(1), frozenset(context): F(0)}),
                                  [], [1]) == 1
 
@@ -1204,6 +1235,69 @@ def test_the_proposal_is_the_censored_spaces_decomposition():
         assert isinstance(decomposition.weights, Decomposition) and decomposition.weights.n == 2 * suite.n
         assert eff.vector.proposal == decomposition.weights
         assert membership(eff.vector) == decomposition
+
+
+def point_masks(censored, suite):
+    """Each point's 2n-bit mask, outcomes first, read off the events point by point."""
+    keys = [censored.outcome_events[x] for x in suite.names] + [censored.switch_events[x] for x in suite.names]
+    return [sum(1 << bit for bit, key in enumerate(keys) if pid in censored.space.events[key])
+            for pid in censored.space.points]
+
+
+def test_the_space_and_the_proposal_are_one_glue():
+    cases = [(suite, dist) for suite, dist, _oracle in random_cases()]
+    cases += [orsay_case(angles) for angles in (orsay.DEFAULT_ANGLES_DEG, *GENERIC_ANGLES, (60, 180, 300, 0))]
+    cfg = orsay.OrsayConfig.from_degrees(orsay.DEFAULT_ANGLES_DEG, ["1/2", "1/4", "1/4", "0"])
+    cases.append((cfg.suite, cfg.distribution))
+    zero_mass_points = 0
+    for suite, dist in cases:
+        censored = build_censored_space(suite, dist)
+        space = censored.space
+        assert len(space.points) == sum(2 ** len(j) for j in dist.support)
+        proposal = assemble_effective_vector(suite, dist, pairs_and_singletons(2 * suite.n)).vector.proposal
+        found = effective_decomposition(censored, suite).weights
+        # Over one denominator, the proposal is the space's decomposition, in the space's point order ...
+        den = lcm(proposal.denominator, found.denominator)
+        assert proposal.masks == found.masks
+        assert [w * (den // proposal.denominator) for w in proposal.numerators] == [
+            w * (den // found.denominator) for w in found.numerators]
+        # ... and it leaves out exactly the points of mass zero.
+        masks = point_masks(censored, suite)
+        assert len(set(masks)) == len(masks)
+        assert list(proposal.masks) == [m for m, pid in zip(masks, space.points) if space.mass[pid]]
+        zero = {m for m, pid in zip(masks, space.points) if not space.mass[pid]}
+        assert set(masks) - set(proposal.masks) == zero
+        zero_mass_points += len(zero)
+    assert zero_mass_points  # Orsay's context {A', B} has two
+
+
+def relabelled(censored):
+    """The space with its points renamed p0..pN in reverse order, masses and events carried along."""
+    space = censored.space
+    new = {pid: f"p{len(space.points) - 1 - k}" for k, pid in enumerate(space.points)}
+    events = {key: frozenset(map(new.__getitem__, event)) for key, event in space.events.items()}
+    renamed = KolmogorovSpace(tuple(new.values()), {new[pid]: m for pid, m in space.mass.items()}, events)
+    return CensoredSpace(renamed, censored.outcome_events, censored.switch_events)
+
+
+def test_verification_reads_events_not_point_labels():
+    cases = [(suite, dist) for suite, dist, _oracle in random_cases()] + [orsay_case(orsay.DEFAULT_ANGLES_DEG)]
+    moved = 0
+    for suite, dist in cases:
+        censored = build_censored_space(suite, dist)
+        spaces = [censored]
+        if len(dist.support) > 1:
+            spaces.append(moved_context(censored, suite, dist))
+        for space in spaces:
+            renamed = relabelled(space)
+            assert not set(renamed.space.points) & set(space.space.points)
+            report = verify_censorship(renamed, suite, dist)
+            assert report == verify_censorship(space, suite, dist)
+            assert integers(effective_decomposition(renamed, suite).weights) == integers(
+                effective_decomposition(space, suite).weights)
+            assert report.ok == (space is censored)
+            moved += space is not censored
+    assert moved
 
 
 def spy_simplex(monkeypatch):
