@@ -353,7 +353,9 @@ def _glued(suite: MeasurementSuite, dist: SetupDistribution) -> tuple:
     Contexts follow ``dist.support``; each lists its 2^|J| points from all hits down to all misses, zero atoms
     kept. Point (J, eps) has the 2n-bit mask of switch bits J (shifted up by n) and outcome bits eps, as in
     ``effective_decomposition``, and numerator kappa_J times its ``_context_atoms`` atom over the denominator.
+    A support outside the suite raises ``InvalidDistribution``.
     """
+    _check_support(suite, dist)
     n = suite.n
     kden, kappas = scaled([dist.weights[j] for j in dist.support])
     contexts = [_context_atoms(j, suite) for j in dist.support]

@@ -103,8 +103,8 @@ def cmd_check(args):
     return 2, {
         "verdict": "outside",
         "certificate": [
-            {"I": sorted(s), "c": format_rational(c)}
-            for s, c in sorted(verdict.certificate.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            {"I": sorted(s), "c": format_rational(verdict.certificate[s])}
+            for s in vec.scheme.order if s in verdict.certificate
         ],
         "offset": format_rational(verdict.offset),
         "gap": format_rational(verdict.gap(vec)),

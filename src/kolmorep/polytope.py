@@ -72,18 +72,51 @@ ROW_FAMILIES = (
 )
 
 
-class SchemeLayout:
-    """What presentation and membership read of a scheme, kept with it as ``ConjunctionScheme.layout``.
+@dataclass(frozen=True)
+class ConjunctionScheme:
+    """n events and a deduplicated family of non-empty subsets of {1..n}.
 
-    ``order`` lists the sets by size, then lexicographically, and ``masks``
-    their bitmasks. ``row_positions`` is built on first use, so a vector that
-    is only listed, or that its proposal decides, never builds it.
+    Presentation and membership read three parts cached on the scheme, each built
+    on first use: ``order``, the sets by size and then lexicographically;
+    ``masks``, their bitmasks; and ``row_positions``. A listed vector builds
+    ``order`` alone, and one that its proposal decides builds no rows.
     """
 
-    def __init__(self, scheme: "ConjunctionScheme") -> None:
-        self.n = scheme.n
-        self.order = tuple(sorted(scheme.sets, key=lambda s: (len(s), sorted(s))))
-        self.masks = tuple(map(lattice.mask, self.order))
+    n: int
+    sets: frozenset
+
+    def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise SchemeMismatch(f"event count {self.n!r} is not a plain int; build schemes with make")
+        if self.n < 1:
+            raise SchemeMismatch("scheme needs at least one event")
+        for s in self.sets:
+            if not isinstance(s, frozenset) or not s:
+                raise SchemeMismatch("scheme members must be non-empty index sets")
+            for i in s:
+                if type(i) is not int:
+                    raise SchemeMismatch(f"event index {i!r} is not a plain int; build schemes with make")
+            if not all(1 <= i <= self.n for i in s):
+                raise SchemeMismatch(f"indices of {sorted(s)} fall outside 1..{self.n}")
+
+    @staticmethod
+    def make(n: int, sets: Iterable[Iterable[int]]) -> "ConjunctionScheme":
+        """The scheme of ``sets``, n and each index read as a plain int; a bool or a non-integer raises."""
+        n = _event_index(n, "event count")
+        return ConjunctionScheme(n, frozenset(frozenset(map(_event_index, s)) for s in sets))
+
+    @staticmethod
+    def singletons(n: int) -> "ConjunctionScheme":
+        n = _event_index(n, "event count")
+        return ConjunctionScheme.make(n, ({i} for i in range(1, n + 1)))
+
+    @cached_property
+    def order(self) -> tuple:
+        return tuple(sorted(self.sets, key=lambda s: (len(s), sorted(s))))
+
+    @cached_property
+    def masks(self) -> tuple:
+        return tuple(map(lattice.mask, self.order))
 
     @cached_property
     def row_positions(self) -> tuple:
@@ -124,44 +157,6 @@ class SchemeLayout:
 
 
 @dataclass(frozen=True)
-class ConjunctionScheme:
-    """n events and a deduplicated family of non-empty subsets of {1..n}."""
-
-    n: int
-    sets: frozenset
-
-    def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise SchemeMismatch(f"event count {self.n!r} is not a plain int; build schemes with make")
-        if self.n < 1:
-            raise SchemeMismatch("scheme needs at least one event")
-        for s in self.sets:
-            if not isinstance(s, frozenset) or not s:
-                raise SchemeMismatch("scheme members must be non-empty index sets")
-            for i in s:
-                if type(i) is not int:
-                    raise SchemeMismatch(f"event index {i!r} is not a plain int; build schemes with make")
-            if not all(1 <= i <= self.n for i in s):
-                raise SchemeMismatch(f"indices of {sorted(s)} fall outside 1..{self.n}")
-
-    @staticmethod
-    def make(n: int, sets: Iterable[Iterable[int]]) -> "ConjunctionScheme":
-        """The scheme of ``sets``, n and each index read as a plain int; a bool or a non-integer raises."""
-        n = _event_index(n, "event count")
-        return ConjunctionScheme(n, frozenset(frozenset(map(_event_index, s)) for s in sets))
-
-    @staticmethod
-    def singletons(n: int) -> "ConjunctionScheme":
-        n = _event_index(n, "event count")
-        return ConjunctionScheme.make(n, ({i} for i in range(1, n + 1)))
-
-    @cached_property
-    def layout(self) -> SchemeLayout:
-        """The scheme's ``SchemeLayout``, built on first use and kept with the scheme."""
-        return SchemeLayout(self)
-
-
-@dataclass(frozen=True)
 class CorrelationVector:
     """A value for every conjunction in the scheme. Values may leave [0, 1].
 
@@ -189,7 +184,7 @@ class CorrelationVector:
         return self.values[key]
 
     def items(self) -> list:
-        return [(s, self.values[s]) for s in self.scheme.layout.order]
+        return [(s, self.values[s]) for s in self.scheme.order]
 
 
 def vertex(bits: Sequence[int], scheme: ConjunctionScheme) -> CorrelationVector:
@@ -235,26 +230,26 @@ def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
     return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
-def _row_separation(layout: SchemeLayout, values: np.ndarray) -> Outside | None:
+def _row_separation(scheme: ConjunctionScheme, values: np.ndarray) -> Outside | None:
     """The first violated row of ``ROW_FAMILIES``, family by family, as an Outside verdict; None if all hold.
 
-    ``values`` are the vector's numerators in ``layout.order``, then their
+    ``values`` are the vector's numerators in ``scheme.order``, then their
     common denominator (p_∅) and 0 (p_never). Every row is valid on every
     vertex, so a violation proves Outside, and its coefficients (+-1 and 0)
     are already in lowest integer form: its real-set terms are the
     certificate and its p_∅ coefficient is the offset.
     """
-    for coefficients, positions in zip(ROW_FAMILIES, layout.row_positions):
+    for coefficients, positions in zip(ROW_FAMILIES, scheme.row_positions):
         over = np.dot(values[positions], coefficients) > 0
         if over.any():
             t, r = divmod(int(np.argmax(over)), coefficients.shape[1])
-            row, empty = dict(zip(positions[t].tolist(), coefficients[:, r].tolist())), len(layout.order)
-            cert = {layout.order[k]: Fraction(c) for k, c in row.items() if c and k < empty}
+            row, empty = dict(zip(positions[t].tolist(), coefficients[:, r].tolist())), len(scheme.order)
+            cert = {scheme.order[k]: Fraction(c) for k, c in row.items() if c and k < empty}
             return Outside(cert, Fraction(row.get(empty, 0)))
     return None
 
 
-def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | None:
+def _checked_proposal(p: CorrelationVector) -> Inside | None:
     """The vector's proposal as an Inside verdict if it has one that reproduces the vector exactly, else None.
 
     It must be over the scheme's n events, with positive int numerators summing
@@ -273,7 +268,7 @@ def _checked_proposal(p: CorrelationVector, layout: SchemeLayout) -> Inside | No
     if not all(type(w) is int and w > 0 for w in numerators) or sum(numerators) != den:
         return None
     weighted = list(zip(support, numerators))
-    for s, mask in zip(layout.order, layout.masks):
+    for s, mask in zip(p.scheme.order, p.scheme.masks):
         value = p.values[s]
         if sum(w for m, w in weighted if m & mask == mask) * value.denominator != value.numerator * den:
             return None
@@ -293,30 +288,30 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     verdict when it reproduces the vector; the first violated row of
     ``ROW_FAMILIES`` (range and monotonicity, then the Bell–Boole pair atoms
     and triangles of the scheme's complete pairs and triples); and the
-    phase-1 simplex, which decides every vector that reaches it.
+    phase-1 simplex, which decides every vector that reaches it. All read the
+    scheme's ``order`` and ``masks``; only the rows build ``row_positions``.
     """
-    n = p.scheme.n
+    scheme, n = p.scheme, p.scheme.n
     if n > n_max:
         raise TooLarge(f"{n} events means 2^{n} columns; raise n_max to force the run")
 
-    layout = p.scheme.layout
-    checked = _checked_proposal(p, layout)
+    checked = _checked_proposal(p)
     if checked is not None:
         return checked
-    scale, nums = scaled([p.values[s] for s in layout.order])
+    scale, nums = scaled([p.values[s] for s in scheme.order])
     # int64 must hold every row sum: the widest row has seven terms of coefficient +-1.
     peak = max(scale, *map(abs, nums))
     values = np.array([*nums, scale, 0], dtype=np.int64 if 7 * peak <= lattice.INT64_MAX else object)
-    separated = _row_separation(layout, values)
+    separated = _row_separation(scheme, values)
     if separated is not None:
         return separated
 
     rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
-    rows += [(mask, p.values[s]) for s, mask in zip(layout.order, layout.masks)]
+    rows += [(mask, p.values[s]) for s, mask in zip(scheme.order, scheme.masks)]
     result = solve_zero_one_feasibility(n, rows)
     if isinstance(result, lattice.Decomposition):
         return Inside(result)
-    cert = {s: y for s, y in zip(layout.order, result[1:]) if y}
+    cert = {s: y for s, y in zip(scheme.order, result[1:]) if y}
     return Outside(*_normalize_certificate(cert, result[0]))
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .censorship import MeasurementSuite, SetupDistribution, context_space
+from .censorship import MeasurementSuite, SetupDistribution, _check_support, context_space
 from .errors import TooLarge
 from .rational import scaled
 
@@ -92,7 +92,8 @@ def _integer_sampler(rng: np.random.Generator, weights: Sequence[Fraction], size
 
 
 def run(suite: MeasurementSuite, dist: SetupDistribution, trials: int, seed: int) -> Trials:
-    """Simulate `trials` switch-and-detect rounds; same seed, same stream."""
+    """Simulate `trials` switch-and-detect rounds; same seed, same stream. A support outside the suite raises."""
+    _check_support(suite, dist)
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -350,6 +350,8 @@ def test_a_hand_built_distribution_reads_numpy_integer_contexts(orsay_setup):
 CHECKS_THE_SUPPORT = {
     "effective_probability": lambda suite, censored, dist: effective_probability(suite, dist, [1], []),
     "verify_censorship": lambda suite, censored, dist: verify_censorship(censored, suite, dist),
+    "build_censored_space": lambda suite, censored, dist: build_censored_space(suite, dist),
+    "simulation.run": lambda suite, censored, dist: simulation.run(suite, dist, 10, 0),
 }
 
 
@@ -968,7 +970,8 @@ def corrupted(censored, how):
     else:
         keys = censored.outcome_events if how == "dropped outcome point" else censored.switch_events
         key = max(keys.values(), key=lambda k: max((mass[p] for p in events[k]), default=0))
-        events[key] = events[key] - {max(events[key], key=mass.get)}
+        # Ties go to the first point in the space's order, so every process drops the same one.
+        events[key] = events[key] - {max((p for p in space.points if p in events[key]), key=mass.get)}
     return CensoredSpace(KolmogorovSpace(space.points, mass, events), censored.outcome_events, censored.switch_events)
 
 
@@ -978,6 +981,23 @@ def test_verify_equals_reference_on_corrupted_spaces(how):
     for suite, dist, _oracle in cases:
         broken = corrupted(build_censored_space(suite, dist), how)
         assert not assert_same_reports(broken, suite, dist).ok
+
+
+def test_each_corruption_picks_the_same_points_in_every_process():
+    # At these angles A',B'|11 and A',B'|00 weigh the same: the first in the space's order is dropped.
+    censored = build_censored_space(*orsay_case((33, 71, 12, 250)))
+    space = censored.space
+    changes = {}
+    for how in ["moved mass", "dropped outcome point", "shrunken switch event"]:
+        broken = corrupted(censored, how).space
+        moved = [p for p in space.points if broken.mass[p] != space.mass[p]]
+        dropped = {name: space.events[name] - ev for name, ev in broken.events.items() if ev != space.events[name]}
+        changes[how] = moved, dropped
+    assert changes == {
+        "moved mass": (["A,B|11", "A',B'|11"], {}),
+        "dropped outcome point": ([], {"A'": {"A',B'|11"}}),
+        "shrunken switch event": ([], {f"{censorship.SWITCH_EVENT_PREFIX}A'": {"A',B'|11"}}),
+    }
 
 
 def assert_same_reports_at_every_order(censored, suite, dist):

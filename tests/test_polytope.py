@@ -27,6 +27,8 @@ from kolmorep import (
     vertex,
 )
 from kolmorep import ch, lattice, polytope
+from kolmorep.orsay import OrsayConfig, effective_vector
+from kolmorep.serialize import vector_to_json
 from kolmorep.simplex import solve_zero_one_feasibility
 from reference_simplex import solve_zero_one_feasibility as reference_solve
 
@@ -363,15 +365,14 @@ def test_a_proposal_never_makes_an_outside_vector_inside():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_every_facet_row_holds_on_every_vertex_of_the_complete_pair_scheme(n):
     scheme = pair_scheme(n)
-    layout = scheme.layout
-    differences, pairs, triples = layout.row_positions
+    differences, pairs, triples = scheme.row_positions
     monotone = sum(a < b for a in scheme.sets for b in scheme.sets)
     assert differences.shape == (2 * len(scheme.sets) + monotone, 2)
     assert pairs.shape == (n * (n - 1) // 2, 4) and triples.shape == (n * (n - 1) * (n - 2) // 6, 7)
     for bits in itertools.product((0, 1), repeat=n):
         p = vertex(bits, scheme)
-        values = [int(p.values[s]) for s in layout.order] + [1, 0]  # then p_empty = 1 and p_never = 0
-        for coefficients, gathers in zip(polytope.ROW_FAMILIES, layout.row_positions):
+        values = [int(p.values[s]) for s in scheme.order] + [1, 0]  # then p_empty = 1 and p_never = 0
+        for coefficients, gathers in zip(polytope.ROW_FAMILIES, scheme.row_positions):
             for positions in gathers:
                 for column in coefficients.T:
                     assert sum(int(c) * values[k] for c, k in zip(column, positions)) <= 0
@@ -381,40 +382,50 @@ def test_every_facet_row_holds_on_every_vertex_of_the_complete_pair_scheme(n):
             for _, coefficients, lower, upper in ch.PAIR_ROWS:
                 row = sum(c * x for c, x in zip(coefficients, terms))
                 assert (lower is None or lower <= row) and (upper is None or row <= upper)
-        assert polytope._row_separation(layout, np.array(values, dtype=np.int64)) is None
+        assert polytope._row_separation(scheme, np.array(values, dtype=np.int64)) is None
 
 
 def test_facet_rows_gather_their_sets_in_lexicographic_order():
-    layout = pair_scheme(4).layout
-    m = len(layout.order)
+    scheme = pair_scheme(4)
+    m = len(scheme.order)
     names = {m: "empty", m + 1: "never"}
-    sets = lambda positions: [names.get(k) or sorted(layout.order[k]) for k in positions]  # noqa: E731
-    differences, pairs, triples = layout.row_positions
+    sets = lambda positions: [names.get(k) or sorted(scheme.order[k]) for k in positions]  # noqa: E731
+    differences, pairs, triples = scheme.row_positions
     pair_sets = [[[i], [j], [i, j], "empty"] for i, j in itertools.combinations(range(1, 5), 2)]
     assert [sets(row) for row in pairs] == pair_sets
     assert [sets(row) for row in triples] == [
         [[i], [j], [k], [i, j], [i, k], [j, k], "empty"] for i, j, k in itertools.combinations(range(1, 5), 3)
     ]
     # Range-low and range-high set by set, then p_b <= p_a for every proper subset a of b, by a and then by b.
-    ranges = [row for s in layout.order for row in (["never", sorted(s)], [sorted(s), "empty"])]
-    monotone = [[sorted(b), sorted(a)] for a in layout.order for b in layout.order if a < b]
+    ranges = [row for s in scheme.order for row in (["never", sorted(s)], [sorted(s), "empty"])]
+    monotone = [[sorted(b), sorted(a)] for a in scheme.order for b in scheme.order if a < b]
     assert [sets(row) for row in differences] == ranges + monotone
 
 
 def test_a_scheme_without_a_complete_triple_has_no_triangle_rows():
     from kolmorep import ch_scheme
-    _, pairs, triples = ch_scheme().layout.row_positions
-    assert [sorted(ch_scheme().layout.order[k]) for k in pairs[:, 2]] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+    _, pairs, triples = ch_scheme().row_positions
+    assert [sorted(ch_scheme().order[k]) for k in pairs[:, 2]] == [[1, 3], [1, 4], [2, 3], [2, 4]]
     assert triples.shape == (0, 7)
     # A pair whose singletons are missing is not complete either.
-    assert ConjunctionScheme.make(3, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}]).layout.row_positions[1].shape == (1, 4)
+    assert ConjunctionScheme.make(3, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}]).row_positions[1].shape == (1, 4)
 
 
-def test_the_layout_is_built_once_per_scheme():
+def test_the_scheme_builds_its_order_masks_and_rows_once_each_and_only_when_read():
     scheme = pair_scheme(3)
-    assert scheme.layout is scheme.layout and scheme.layout.row_positions is scheme.layout.row_positions
-    assert list(scheme.layout.order) == sorted(scheme.sets, key=lambda s: (len(s), sorted(s)))
-    assert scheme.layout.masks == tuple(lattice.mask(s) for s in scheme.layout.order)
+    assert scheme.order is scheme.order and scheme.masks is scheme.masks
+    assert scheme.row_positions is scheme.row_positions
+    assert list(scheme.order) == sorted(scheme.sets, key=lambda s: (len(s), sorted(s)))
+    assert scheme.masks == tuple(lattice.mask(s) for s in scheme.order)
+    # A vector that is only listed builds its order alone.
+    listed = vertex((1, 0, 1), pair_scheme(3))
+    vector_to_json(listed)
+    assert "order" in listed.scheme.__dict__
+    assert "masks" not in listed.scheme.__dict__ and "row_positions" not in listed.scheme.__dict__
+    # A vector that its proposal decides never builds the rows.
+    effective = effective_vector(OrsayConfig()).vector
+    assert membership(effective).weights is effective.proposal
+    assert "row_positions" not in effective.scheme.__dict__
 
 
 def pair_vector(n, singles, pairs):
@@ -489,7 +500,7 @@ def test_a_difference_past_int64_is_decided_on_python_ints(monkeypatch, p, certi
     no_simplex(monkeypatch)
     dtypes, separate = [], polytope._row_separation
     monkeypatch.setattr(polytope, "_row_separation",
-                        lambda layout, values: dtypes.append(values.dtype) or separate(layout, values))
+                        lambda scheme, values: dtypes.append(values.dtype) or separate(scheme, values))
     verdict = membership(p)
     assert dtypes == [np.dtype(object)]
     assert verdict == Outside({frozenset(s): F(c) for s, c in certificate.items()}, F(offset))
@@ -529,7 +540,7 @@ def test_facet_verdicts_agree_with_the_reference_simplex_and_their_witnesses_che
         for k in range(8):
             p = nudged_mixture(rng, n, nudge=k % 4 != 0)
             verdict = membership(p)
-            rows = [(0, F(1))] + [(lattice.mask(s), p.values[s]) for s in p.scheme.layout.order]
+            rows = [(0, F(1))] + [(lattice.mask(s), p.values[s]) for s in p.scheme.order]
             assert isinstance(verdict, Inside) == isinstance(reference_solve(n, rows), dict)
             if witnesses and witnesses[-1] is verdict:
                 decided += len(verdict.certificate) >= 3  # a pair atom or a triangle, not a difference

@@ -125,7 +125,7 @@ def corpus(seed=2024, size=500):
 
 def orsay_rows():
     p = effective_vector(OrsayConfig()).vector
-    return [(0, F(1))] + [(mask(*s), p.values[s]) for s in p.scheme.layout.order]
+    return [(0, F(1))] + [(mask(*s), p.values[s]) for s in p.scheme.order]
 
 
 def assert_plain_fractions(res):
