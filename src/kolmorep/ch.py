@@ -4,10 +4,10 @@ For four events where only the cross pairs {1,3}, {1,4}, {2,3}, {2,4} carry
 joint values, membership in the classical polytope is equivalent to the
 Clauser-Horne system: the trivial range and monotonicity bounds per measured
 pair, and four Bell-type bounds between -1 and 0. The system is one table of
-rows, each with integer coefficients on the scheme's sets. The per-pair rows
-are ``PAIR_ROWS``, which membership checks as rows of ``polytope.ROW_FAMILIES``;
-the four Bell rows are the images of one Bell line under the side swaps, all
-evaluated.
+rows, each with integer coefficients on the scheme's sets and integer bounds.
+The per-pair rows are ``PAIR_ROWS``, which membership checks as rows of
+``polytope.ROW_FAMILIES``; the four Bell rows are the images of one Bell line
+under the side swaps, all evaluated.
 """
 
 from __future__ import annotations
@@ -49,17 +49,13 @@ def _rows() -> tuple:
         # The pair rows on ({i}, {j}, {i, j}).
         for label, coefficients, lower, upper in PAIR_ROWS:
             terms = dict(zip(((i,), (j,), (i, j)), coefficients))
-            rows.append((label.format(i=i, j=j), terms, _bound(lower), _bound(upper)))
+            rows.append((label.format(i=i, j=j), terms, lower, upper))
     for k, swap in enumerate(_SIDE_SWAPS, start=1):
         terms = [(tuple(swap.get(i, i) for i in s), c) for s, c in _BELL]
         expr = " ".join(f"{'+' if c > 0 else '-'} p{''.join(map(str, s))}" for s, c in terms).removeprefix("+ ")
-        rows.append((f"bell{k}: -1 <= {expr} <= 0", dict(terms), Fraction(-1), Fraction(0)))
+        rows.append((f"bell{k}: -1 <= {expr} <= 0", dict(terms), -1, 0))
     # A row repeats whole (p1 <= 1 comes with two pairs) and keeps its first place.
     return tuple(dict.fromkeys((label, tuple(t.get(s, 0) for s in _SETS), lo, up) for label, t, lo, up in rows))
-
-
-def _bound(b: Optional[int]) -> Optional[Fraction]:
-    return None if b is None else Fraction(b)
 
 
 @cache
@@ -78,8 +74,8 @@ class ChInequality:
 
     label: str
     value: Fraction
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
+    lower: Optional[int]
+    upper: Optional[int]
     satisfied: bool
     slack: Fraction
 
@@ -105,8 +101,8 @@ def ch_evaluate(p: CorrelationVector) -> ChReport:
     for label, coefficients, lower, upper in _rows():
         num = sum(c * x for c, x in zip(coefficients, nums))
         # Whole-number bounds, lower <= upper: the smaller margin is the slack, minus the violation when negative.
-        margins = [num - lower.numerator * den] if lower is not None else []
-        margins += [upper.numerator * den - num] if upper is not None else []
+        margins = [num - lower * den] if lower is not None else []
+        margins += [upper * den - num] if upper is not None else []
         slack = min(margins)
         records.append(ChInequality(label, Fraction(num, den), lower, upper, slack >= 0, Fraction(slack, den)))
     return ChReport(tuple(records), all(r.satisfied for r in records))

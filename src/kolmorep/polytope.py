@@ -28,7 +28,6 @@ anywhere in this module.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,23 +210,17 @@ class Outside:
     """Separating affine functional: sum_I c_I p_I + offset.
 
     Non-positive on every vertex, strictly positive on the rejected vector.
-    Entries are integers (scaled to lowest integer form for readability).
+    ``membership`` gives plain ints in lowest terms; a hand-built one may hold Fractions.
     """
 
-    certificate: Mapping  # frozenset -> Fraction
-    offset: Fraction
+    certificate: Mapping  # frozenset -> int
+    offset: int
 
     def gap(self, p: CorrelationVector) -> Fraction:
         return sum((c * p[s] for s, c in self.certificate.items()), self.offset)
 
 
 Verdict = Union[Inside, Outside]
-
-
-def _normalize_certificate(cert: dict, offset: Fraction) -> tuple:
-    den, numerators = scaled([*cert.values(), offset])
-    scale = Fraction(den, math.gcd(*numerators) or 1)
-    return {s: v * scale for s, v in cert.items()}, offset * scale
 
 
 def _row_separation(scheme: ConjunctionScheme, values: np.ndarray) -> Outside | None:
@@ -244,8 +237,7 @@ def _row_separation(scheme: ConjunctionScheme, values: np.ndarray) -> Outside | 
         if over.any():
             t, r = divmod(int(np.argmax(over)), coefficients.shape[1])
             row, empty = dict(zip(positions[t].tolist(), coefficients[:, r].tolist())), len(scheme.order)
-            cert = {scheme.order[k]: Fraction(c) for k, c in row.items() if c and k < empty}
-            return Outside(cert, Fraction(row.get(empty, 0)))
+            return Outside({scheme.order[k]: c for k, c in row.items() if c and k < empty}, row.get(empty, 0))
     return None
 
 
@@ -280,16 +272,17 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
 
     Inside means the vector is a convex mixture of deterministic assignments
     (boundary included); the returned weights reproduce the vector exactly.
-    Outside returns a separating functional. ``n_max`` guards the 2^n column
-    count; raise it explicitly for patient large runs.
+    Outside returns a separating functional in ints in lowest terms. ``n_max``
+    guards the 2^n column count; raise it explicitly for patient large runs.
 
     The checks run in a fixed order and the first that decides returns:
     the vector's ``proposal``, checked exactly and returned as the Inside
     verdict when it reproduces the vector; the first violated row of
     ``ROW_FAMILIES`` (range and monotonicity, then the Bell–Boole pair atoms
     and triangles of the scheme's complete pairs and triples); and the
-    phase-1 simplex, which decides every vector that reaches it. All read the
-    scheme's ``order`` and ``masks``; only the rows build ``row_positions``.
+    phase-1 simplex, which decides every vector that reaches it with at most
+    62 events. All read the scheme's ``order`` and ``masks``; only the rows
+    build ``row_positions``.
     """
     scheme, n = p.scheme, p.scheme.n
     if n > n_max:
@@ -306,13 +299,14 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     if separated is not None:
         return separated
 
+    if n > 62:  # the simplex's row masks are int64
+        raise TooLarge(f"{n} events: no row decided the vector, and the simplex takes at most 62")
     rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
     rows += [(mask, p.values[s]) for s, mask in zip(scheme.order, scheme.masks)]
     result = solve_zero_one_feasibility(n, rows)
     if isinstance(result, lattice.Decomposition):
         return Inside(result)
-    cert = {s: y for s, y in zip(scheme.order, result[1:]) if y}
-    return Outside(*_normalize_certificate(cert, result[0]))
+    return Outside({s: y for s, y in zip(scheme.order, result[1:]) if y}, result[0])
 
 
 def certificate_is_valid(p: CorrelationVector, verdict: Outside) -> bool:
@@ -321,9 +315,13 @@ def certificate_is_valid(p: CorrelationVector, verdict: Outside) -> bool:
     The coefficients, scaled to integers, sit at their masks and the offset at
     the empty set. Their absolute values summed bound every partial sum, so
     int64 holds the pass while that sum is at most ``lattice.INT64_MAX``; Python ints hold it otherwise.
+    A coefficient or offset that is not an int or a Fraction (a float, a bool) raises ``SchemeMismatch``.
     """
     if any(s not in p.scheme.sets for s in verdict.certificate):
         return False
+    for what, c in [*((sorted(s), c) for s, c in verdict.certificate.items()), ("the offset", verdict.offset)]:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise SchemeMismatch(f"certificate value {c!r} at {what} is not an int or a Fraction")
     _, numerators = scaled([*verdict.certificate.values(), verdict.offset])
     peak = sum(map(abs, numerators))
     values = np.zeros(1 << p.scheme.n, dtype=np.int64 if peak <= lattice.INT64_MAX else object)

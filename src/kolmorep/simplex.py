@@ -15,7 +15,7 @@ the entering and the leaving choice, so the run terminates without cycling.
 Artificial columns are dropped once they leave the basis. A zero phase-1
 optimum returns the positive basic weights as a ``lattice.Decomposition`` of
 the tableau's integers over ``D L`` (below). A positive one returns the final
-multipliers, one Fraction per row in input order: a separating functional y
+multipliers, ints in lowest terms in input order: a separating functional y
 with ``y . column(eps) <= 0`` for every assignment and ``y . rhs > 0``.
 
 Arithmetic is exact and fraction-free (Edmonds 1967, Bareiss 1968). Basis
@@ -63,6 +63,7 @@ direction and, in its last entry, the entering reduced cost.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -90,7 +91,7 @@ def _needs_object(m: int, peak: int) -> bool:
 
 def solve_zero_one_feasibility(
     n: int, rows: Sequence[tuple[int, Fraction]]
-) -> Decomposition | tuple[Fraction, ...]:
+) -> Decomposition | tuple[int, ...]:
     """Decide feasibility of the subset-sum system described in the module docstring."""
     m = len(rows)
     ncols = 1 << n
@@ -132,7 +133,9 @@ def solve_zero_one_feasibility(
 
         if not reduced[entering] > 0:
             if tab[m, m]:
-                return tuple(Fraction(int(v), det) for v in tab[m, :m])
+                farkas = tab[m, :m].tolist()  # det times the multipliers; det > 0 keeps the ray
+                g = math.gcd(*farkas)
+                return tuple(v // g for v in farkas)
             support = [i for i in range(m) if basis[i] < ncols and tab[i, m]]
             return Decomposition(n, det * scale, tuple(basis[i] for i in support), tuple(tab[support, m].tolist()))
 

@@ -47,6 +47,13 @@ def test_naked_singlet_statistics_violate_one_bell_bound():
     assert sorted(r.value for r in report.bell()) == [F(-5, 8)] * 3 + [F(1, 8)]
 
 
+def test_bounds_are_plain_ints():
+    report = ch_evaluate(make_vector(NAKED))
+    bounds = [b for r in report.inequalities for b in (r.lower, r.upper) if b is not None]
+    assert len(bounds) == len(report.inequalities) + 4 and all(type(b) is int for b in bounds)
+    assert {(r.lower, r.upper) for r in report.bell()} == {(-1, 0)}
+
+
 def test_effective_statistics_satisfy_everything():
     report = ch_evaluate(make_vector(EFFECTIVE))
     assert report.satisfied

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from dataclasses import replace
@@ -194,6 +195,21 @@ def test_membership_guard():
     assert isinstance(membership(p, n_max=6), Inside)
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_past_62_events_the_simplex_is_refused_by_name_and_the_proposal_and_rows_still_decide(n):
+    # Every singleton at 1/2 passes every row, so only the simplex could decide it: its masks are int64.
+    scheme = ConjunctionScheme.singletons(n)
+    halves = {frozenset({i}): F(1, 2) for i in range(1, n + 1)}
+    with pytest.raises(TooLarge, match=rf"^{n} events: no row decided the vector, and the simplex takes at most 62$"):
+        membership(CorrelationVector(scheme, halves), n_max=100)
+    # Half on no event and half on all of them is the vector's proposal, checked without the simplex.
+    proposal = Decomposition(n, 2, (0, (1 << n) - 1), (1, 1))
+    assert membership(CorrelationVector(scheme, halves, proposal), n_max=100) == Inside(proposal)
+    # p_n = 3/2 breaks range-high, the row {n}: 1 with offset -1.
+    high = CorrelationVector(scheme, {**halves, frozenset({n}): F(3, 2)})
+    assert membership(high, n_max=100) == Outside({frozenset({n}): 1}, -1)
+
+
 def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     scheme = ConjunctionScheme.make(2, [{1}, {1, 2}])
     p = CorrelationVector(scheme, {frozenset({1}): F(1, 4), frozenset({1, 2}): F(1, 2)})
@@ -203,6 +219,19 @@ def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     # the violated difference row must agree with a raw LP run on the same system
     rows = [(0, F(1)), (0b01, F(1, 4)), (0b11, F(1, 2))]
     assert isinstance(solve_zero_one_feasibility(2, rows), tuple)
+
+
+@pytest.mark.parametrize("certificate, offset, message", [
+    ({frozenset({1}): 1.0}, -1, r"1\.0 at \[1\]"),
+    ({frozenset({1}): 1}, -1.0, r"-1\.0 at the offset"),
+    ({frozenset({1}): True}, -1, r"True at \[1\]"),
+    ({frozenset({1}): 1}, False, r"False at the offset"),
+], ids=["float coefficient", "float offset", "bool coefficient", "bool offset"])
+def test_a_certificate_value_that_is_not_an_int_or_a_fraction_is_named(certificate, offset, message):
+    scheme = ConjunctionScheme.singletons(2)
+    p = CorrelationVector(scheme, {frozenset({1}): F(3, 2), frozenset({2}): F(0)})
+    with pytest.raises(SchemeMismatch, match=rf"^certificate value {message} is not an int or a Fraction$"):
+        certificate_is_valid(p, Outside(certificate, offset))
 
 
 def test_certificate_naming_a_set_outside_the_scheme_is_invalid():
@@ -257,24 +286,34 @@ def test_random_mixtures_round_trip(data):
         assert evaluate(space, {f"A{i}" for i in s}) == p[s]
 
 
-def test_random_vectors_have_sound_witnesses():
+def bell_vector(rng):
+    """Singletons 1/2 and cross pairs in 0..1/2 on the CH scheme: every pair row holds, and a Bell row may fail."""
+    scheme = ch.ch_scheme()
+    return CorrelationVector(scheme, {s: F(1, 2) if len(s) == 1 else F(rng.randint(0, 6), 12) for s in scheme.sets})
+
+
+def test_random_vectors_have_sound_witnesses(monkeypatch):
     rng = random.Random(11)
     scheme = pair_scheme(4)
-    inside = outside = 0
-    for _ in range(60):
-        values = {s: F(rng.randint(0, 12), 12) for s in scheme.sets}
-        p = CorrelationVector(scheme, values)
+    # Uniform draws mostly break a row of ROW_FAMILIES; the Bell draws pass every row and reach the simplex.
+    draws = [CorrelationVector(scheme, {s: F(rng.randint(0, 12), 12) for s in scheme.sets}) for _ in range(60)]
+    draws += [bell_vector(rng) for _ in range(40)]
+    solved, solve = [], polytope.solve_zero_one_feasibility
+    monkeypatch.setattr(polytope, "solve_zero_one_feasibility", lambda n, rows: solved.append(n) or solve(n, rows))
+    inside, outside = 0, {"rows": 0, "simplex": 0}
+    for p in draws:
+        solved.clear()
         verdict = membership(p)
         if isinstance(verdict, Inside):
             inside += 1
             assert reproduces(verdict.weights, p)
             assert sum(verdict.weights.values()) == 1
         else:
-            outside += 1
+            outside["simplex" if solved else "rows"] += 1
             assert certificate_is_valid(p, verdict)
-            values = list(verdict.certificate.values()) + [verdict.offset]
-            assert all(v.denominator == 1 for v in values)  # integer-normalized
-    assert outside > 0  # uniform draws mostly leave the polytope
+            values = [*verdict.certificate.values(), verdict.offset]
+            assert all(type(v) is int for v in values) and math.gcd(*values) == 1  # plain ints in lowest terms
+    assert inside > 0 and outside["rows"] > 0 and outside["simplex"] > 0, (inside, outside)
 
 
 def brute_force_valid(p, verdict):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from kolmorep import simplex
 from kolmorep.lattice import Decomposition
 from kolmorep.orsay import OrsayConfig, effective_vector
+from kolmorep.rational import scaled
 from kolmorep.simplex import solve_zero_one_feasibility
 from reference_simplex import solve_zero_one_feasibility as reference_solve
 
@@ -80,7 +82,7 @@ def test_a_feasible_system_without_positive_weight_is_an_empty_decomposition():
     res = solve_zero_one_feasibility(2, rows)
     assert isinstance(res, Decomposition) and (res.masks, res.numerators) == ((), ())
     assert res == {} == reference_solve(2, rows) and len(res) == 0
-    assert_plain_fractions(res)
+    assert_plain_witness(res)
 
 
 def random_rhs(rng, n, masks, kind):
@@ -128,15 +130,25 @@ def orsay_rows():
     return [(0, F(1))] + [(mask(*s), p.values[s]) for s in p.scheme.order]
 
 
-def assert_plain_fractions(res):
-    """Plain ints in a Decomposition and in its view's Fractions, or plain Fractions in a Farkas tuple."""
-    if isinstance(res, Decomposition):
-        assert type(res.denominator) is int and all(type(w) is int for w in res.numerators)
-        assert all(type(m) is int for m in res.masks)
-    values = list(res.values()) if isinstance(res, Decomposition) else list(res)
-    for v in values:
+def assert_plain_witness(res):
+    """Plain ints in a Decomposition and in its view's Fractions, or plain ints in lowest terms in a Farkas tuple."""
+    if not isinstance(res, Decomposition):
+        assert all(type(y) is int for y in res) and math.gcd(*res) == 1, res
+        return
+    assert type(res.denominator) is int and all(type(w) is int for w in res.numerators)
+    assert all(type(m) is int for m in res.masks)
+    for v in res.values():
         assert type(v) is Fraction
         assert type(v.numerator) is int and type(v.denominator) is int
+
+
+def lowest_terms(expected):
+    """The reference's result with its Farkas multipliers scaled to lowest integer terms, as the solver gives them."""
+    if isinstance(expected, dict):
+        return expected
+    _, nums = scaled(expected)
+    g = math.gcd(*nums)
+    return tuple(v // g for v in nums)
 
 
 # Values of simplex._INCIDENCE_MAX: zeta pricing always, and the incidence
@@ -156,14 +168,26 @@ def solve_each_pricing(monkeypatch, n, rows):
 def test_equals_reference_on_random_corpus(monkeypatch):
     verdicts, empty = set(), 0
     for n, rows in corpus():
-        expected = reference_solve(n, rows)
+        expected = lowest_terms(reference_solve(n, rows))
         for res in solve_each_pricing(monkeypatch, n, rows):
             assert res == expected, (n, rows)
-            assert_plain_fractions(res)
+            assert_plain_witness(res)
         verdicts.add(isinstance(expected, dict))
         empty += expected == {}
     assert verdicts == {True, False}
     assert empty > 0  # feasible systems with no positive weight are in the corpus
+
+
+def test_multipliers_with_a_common_factor_come_in_lowest_terms(monkeypatch):
+    # The final tableau row is (-2, 0, 0, 2, 0, -6, -2, 2, 2, 2, -2, 2, 2): det times the multipliers, all even.
+    rows = [(0, F(1)), (37, F(0)), (42, F(1, 2)), (22, F(1, 2)), (44, F(1, 2)), (6, F(1, 2)), (3, F(0)),
+            (57, F(0)), (48, F(7, 4)), (54, F(1, 2)), (25, F(0)), (27, F(0)), (38, F(1, 2))]
+    expected = (-1, 0, 0, 1, 0, -3, -1, 1, 1, 1, -1, 1, 1)
+    assert lowest_terms(reference_solve(6, rows)) == expected
+    for res in solve_each_pricing(monkeypatch, 6, rows):
+        assert res == expected
+        assert_plain_witness(res)
+        check_farkas(6, rows, res)
 
 
 def test_equals_reference_on_orsay_effective_vector():
@@ -188,7 +212,7 @@ def test_duplicate_row_masks_equal_reference(monkeypatch):
         systems.append((n, list(zip(masks, random_rhs(rng, n, masks, ("inside", "outside")[k % 2])))))
     verdicts = set()
     for n, rows in systems:
-        expected = reference_solve(n, rows)
+        expected = lowest_terms(reference_solve(n, rows))
         for res in solve_each_pricing(monkeypatch, n, rows):
             assert res == expected, (n, rows)
         verdicts.add(isinstance(expected, dict))
@@ -215,7 +239,7 @@ def test_equals_reference_on_pair_scheme_corpus(monkeypatch):
     for n, count in ((5, 6), (6, 2)):
         for k in range(count):
             rows = pair_scheme_rows(rng, n, nudge=k % 2 == 1)
-            expected = reference_solve(n, rows)
+            expected = lowest_terms(reference_solve(n, rows))
             for res in solve_each_pricing(monkeypatch, n, rows):
                 assert res == expected, (n, rows)
             verdicts.add(isinstance(expected, dict))
@@ -280,13 +304,13 @@ def huge_denominator_systems():
 @pytest.mark.parametrize("case", range(2))
 def test_huge_denominators_run_on_python_ints(monkeypatch, case):
     rows = huge_denominator_systems()[case]
-    expected = reference_solve(3, rows)
+    expected = lowest_terms(reference_solve(3, rows))
     calls = record_guard(monkeypatch)
     res = solve_zero_one_feasibility(3, rows)
     assert calls[0] is True  # object dtype from the start
     assert isinstance(res, Decomposition) == (case == 0)
     assert res == expected
-    assert_plain_fractions(res)
+    assert_plain_witness(res)
 
 
 def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
@@ -298,13 +322,13 @@ def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
     calls = record_guard(monkeypatch)
     switched = 0
     for n, rows in systems:
-        expected = reference_solve(n, rows)
+        expected = lowest_terms(reference_solve(n, rows))
         for k in range(2, 16):
             monkeypatch.setattr(simplex, "INT64_MAX", 2**k)
             calls.clear()
             res = solve_zero_one_feasibility(n, rows)
             assert res == expected, (n, rows, k)
-            assert_plain_fractions(res)
+            assert_plain_witness(res)
             switched += calls[0] is False and calls[-1] is True
     assert switched > 0
 
