@@ -280,9 +280,10 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     verdict when it reproduces the vector; the first violated row of
     ``ROW_FAMILIES`` (range and monotonicity, then the Bell–Boole pair atoms
     and triangles of the scheme's complete pairs and triples); and the
-    phase-1 simplex, which decides every vector that reaches it with at most
-    62 events. All read the scheme's ``order`` and ``masks``; only the rows
-    build ``row_positions``.
+    phase-1 simplex on the rows' integer form, which decides every vector
+    that reaches it with at most 27 events (``simplex._COLUMNS_MAX``) and
+    raises ``TooLarge`` past that. All read the scheme's ``order`` and
+    ``masks``; only the rows build ``row_positions``.
     """
     scheme, n = p.scheme, p.scheme.n
     if n > n_max:
@@ -299,11 +300,8 @@ def membership(p: CorrelationVector, n_max: int = 16) -> Verdict:
     if separated is not None:
         return separated
 
-    if n > 62:  # the simplex's row masks are int64
-        raise TooLarge(f"{n} events: no row decided the vector, and the simplex takes at most 62")
-    rows = [(0, Fraction(1))]  # empty conjunction: total weight 1
-    rows += [(mask, p.values[s]) for s, mask in zip(scheme.order, scheme.masks)]
-    result = solve_zero_one_feasibility(n, rows)
+    # The empty conjunction's row first: total weight 1.
+    result = solve_zero_one_feasibility(n, (0, *scheme.masks), scale, (scale, *nums))
     if isinstance(result, lattice.Decomposition):
         return Inside(result)
     return Outside({s: y for s, y in zip(scheme.order, result[1:]) if y}, result[0])

@@ -17,6 +17,15 @@ import numpy as np
 
 from kolmorep import MeasurementSuite, Operator
 from kolmorep.censorship import SetupDistribution, validate_distribution
+from kolmorep.rational import scaled
+
+# --- the exact simplex's integer rows -----------------------------------------
+
+def integer_rows(rows):
+    """Rows ``(mask, value)`` in the form ``simplex.solve_zero_one_feasibility`` takes: masks, scale, numerators."""
+    scale, numerators = scaled([Fraction(value) for _, value in rows])
+    return [mask for mask, _ in rows], scale, numerators
+
 
 # --- exact rational matrices (lists of lists of Fractions) -----------------
 

@@ -88,14 +88,15 @@ def test_check_exit_codes(files, capsys):
     assert main(["check", str(files["root"]) + "/missing.json"]) == 1
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_check_past_62_events_is_one_error_line(n, capsys, tmp_path):
+@pytest.mark.parametrize("n", [40, 63, 64])
+def test_check_past_the_simplex_column_limit_is_one_error_line(n, capsys, tmp_path):
     path = tmp_path / "halves.json"
     path.write_text(json.dumps({"n": n, "entries": [{"I": [i], "p": "1/2"} for i in range(1, n + 1)]}))
     assert main(["check", "--n-max", "100", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {n} events: no row decided the vector, and the simplex takes at most 62\n"
+    assert captured.err == (f"error: {n} events: pricing 2^{n} columns takes {8 << n:,} bytes, past the simplex's "
+                            "limit of 2^27 columns (1,073,741,824 bytes)\n")
 
 
 def test_check_json_format(files, capsys):

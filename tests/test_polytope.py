@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from kolmorep import ch, lattice, polytope
 from kolmorep.orsay import OrsayConfig, effective_vector
 from kolmorep.serialize import vector_to_json
 from kolmorep.simplex import solve_zero_one_feasibility
+from helpers import integer_rows
 from reference_simplex import solve_zero_one_feasibility as reference_solve
 
 F = Fraction
@@ -138,7 +140,7 @@ def test_a_vector_lookup_outside_its_scheme_is_a_scheme_mismatch():
 
 def test_a_row_mask_outside_the_assignments_is_a_value_error():
     with pytest.raises(ValueError, match=r"^row mask outside \{0,1\}\^n$"):
-        solve_zero_one_feasibility(2, [(4, 1)])
+        solve_zero_one_feasibility(2, *integer_rows([(4, 1)]))
 
 
 # --- vertices ----------------------------------------------------------------
@@ -195,12 +197,17 @@ def test_membership_guard():
     assert isinstance(membership(p, n_max=6), Inside)
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_past_62_events_the_simplex_is_refused_by_name_and_the_proposal_and_rows_still_decide(n):
-    # Every singleton at 1/2 passes every row, so only the simplex could decide it: its masks are int64.
+def column_limit_message(n):
+    return (rf"^{n} events: pricing 2\^{n} columns takes {8 << n:,} bytes, past the simplex's limit of "
+            rf"2\^27 columns \(1,073,741,824 bytes\)$")
+
+
+@pytest.mark.parametrize("n", [28, 63, 64])
+def test_past_the_simplex_column_limit_it_is_refused_by_name_and_the_proposal_and_rows_still_decide(n):
+    # Every singleton at 1/2 passes every row, so only the simplex could decide it: 2^n columns are too many.
     scheme = ConjunctionScheme.singletons(n)
     halves = {frozenset({i}): F(1, 2) for i in range(1, n + 1)}
-    with pytest.raises(TooLarge, match=rf"^{n} events: no row decided the vector, and the simplex takes at most 62$"):
+    with pytest.raises(TooLarge, match=column_limit_message(n)):
         membership(CorrelationVector(scheme, halves), n_max=100)
     # Half on no event and half on all of them is the vector's proposal, checked without the simplex.
     proposal = Decomposition(n, 2, (0, (1 << n) - 1), (1, 1))
@@ -208,6 +215,20 @@ def test_past_62_events_the_simplex_is_refused_by_name_and_the_proposal_and_rows
     # p_n = 3/2 breaks range-high, the row {n}: 1 with offset -1.
     high = CorrelationVector(scheme, {**halves, frozenset({n}): F(3, 2)})
     assert membership(high, n_max=100) == Outside({frozenset({n}): 1}, -1)
+
+
+def test_the_column_limit_is_raised_before_anything_of_size_2_to_the_n_is_allocated():
+    # 2^40 columns would take 8 TiB in int64; the refusal must come before any such buffer.
+    n = 40
+    p = CorrelationVector(ConjunctionScheme.singletons(n), {frozenset({i}): F(1, 2) for i in range(1, n + 1)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=column_limit_message(n)):
+            membership(p, n_max=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
@@ -218,7 +239,7 @@ def test_monotonicity_violation_yields_valid_certificate_and_agrees_with_lp():
     assert certificate_is_valid(p, verdict)
     # the violated difference row must agree with a raw LP run on the same system
     rows = [(0, F(1)), (0b01, F(1, 4)), (0b11, F(1, 2))]
-    assert isinstance(solve_zero_one_feasibility(2, rows), tuple)
+    assert isinstance(solve_zero_one_feasibility(2, *integer_rows(rows)), tuple)
 
 
 @pytest.mark.parametrize("certificate, offset, message", [
@@ -299,7 +320,8 @@ def test_random_vectors_have_sound_witnesses(monkeypatch):
     draws = [CorrelationVector(scheme, {s: F(rng.randint(0, 12), 12) for s in scheme.sets}) for _ in range(60)]
     draws += [bell_vector(rng) for _ in range(40)]
     solved, solve = [], polytope.solve_zero_one_feasibility
-    monkeypatch.setattr(polytope, "solve_zero_one_feasibility", lambda n, rows: solved.append(n) or solve(n, rows))
+    monkeypatch.setattr(polytope, "solve_zero_one_feasibility",
+                        lambda n, masks, scale, numerators: solved.append(n) or solve(n, masks, scale, numerators))
     inside, outside = 0, {"rows": 0, "simplex": 0}
     for p in draws:
         solved.clear()

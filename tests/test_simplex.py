@@ -11,6 +11,7 @@ from kolmorep.lattice import Decomposition
 from kolmorep.orsay import OrsayConfig, effective_vector
 from kolmorep.rational import scaled
 from kolmorep.simplex import solve_zero_one_feasibility
+from helpers import integer_rows
 from reference_simplex import solve_zero_one_feasibility as reference_solve
 
 F = Fraction
@@ -45,33 +46,33 @@ def check_farkas(n, rows, farkas):
 
 def test_two_event_product_distribution():
     rows = [(0, F(1)), (mask(1), F(1, 2)), (mask(2), F(1, 3)), (mask(1, 2), F(1, 6))]
-    res = solve_zero_one_feasibility(2, rows)
+    res = solve_zero_one_feasibility(2, *integer_rows(rows))
     check_weights(2, rows, res)
 
 
 def test_infeasible_conjunction_exceeds_marginal():
     rows = [(0, F(1)), (mask(1), F(1, 4)), (mask(1, 2), F(1, 2))]
-    res = solve_zero_one_feasibility(2, rows)
+    res = solve_zero_one_feasibility(2, *integer_rows(rows))
     assert isinstance(res, tuple)
     check_farkas(2, rows, res)
 
 
 def test_negative_rhs_is_separated():
     rows = [(0, F(1)), (mask(1), F(-1, 3))]
-    res = solve_zero_one_feasibility(1, rows)
+    res = solve_zero_one_feasibility(1, *integer_rows(rows))
     assert isinstance(res, tuple)
     check_farkas(1, rows, res)
 
 
 def test_boundary_vertex_is_feasible():
     rows = [(0, F(1)), (mask(1), F(1)), (mask(2), F(0)), (mask(1, 2), F(0))]
-    res = solve_zero_one_feasibility(2, rows)
+    res = solve_zero_one_feasibility(2, *integer_rows(rows))
     assert (res.masks, res.numerators) == ((mask(1),), (res.denominator,))
     assert res == {(1, 0): F(1)}
 
 
 def test_normalization_only():
-    res = solve_zero_one_feasibility(2, [(0, F(1))])
+    res = solve_zero_one_feasibility(2, *integer_rows([(0, F(1))]))
     assert isinstance(res, Decomposition)
     assert sum(res.values()) == 1
 
@@ -79,7 +80,7 @@ def test_normalization_only():
 def test_a_feasible_system_without_positive_weight_is_an_empty_decomposition():
     # No normalization row and zero right-hand sides: every artificial ends at 0 and no assignment enters.
     rows = [(mask(1), F(0)), (mask(1, 2), F(0))]
-    res = solve_zero_one_feasibility(2, rows)
+    res = solve_zero_one_feasibility(2, *integer_rows(rows))
     assert isinstance(res, Decomposition) and (res.masks, res.numerators) == ((), ())
     assert res == {} == reference_solve(2, rows) and len(res) == 0
     assert_plain_witness(res)
@@ -151,8 +152,8 @@ def lowest_terms(expected):
     return tuple(v // g for v in nums)
 
 
-# Values of simplex._INCIDENCE_MAX: zeta pricing always, and the incidence
-# product wherever the tableau is int64.
+# Values of simplex._INCIDENCE_MAX: zeta pricing always, and the priced
+# columns wherever the int64 guard admits them.
 PRICING_LIMITS = (0, 2**62)
 
 
@@ -161,7 +162,7 @@ def solve_each_pricing(monkeypatch, n, rows):
     results = []
     for limit in PRICING_LIMITS:
         monkeypatch.setattr(simplex, "_INCIDENCE_MAX", limit)
-        results.append(solve_zero_one_feasibility(n, rows))
+        results.append(solve_zero_one_feasibility(n, *integer_rows(rows)))
     return results
 
 
@@ -193,7 +194,7 @@ def test_multipliers_with_a_common_factor_come_in_lowest_terms(monkeypatch):
 def test_equals_reference_on_orsay_effective_vector():
     rows = orsay_rows()
     assert len(rows) == 37
-    res = solve_zero_one_feasibility(8, rows)
+    res = solve_zero_one_feasibility(8, *integer_rows(rows))
     assert res == reference_solve(8, rows)
     check_weights(8, rows, res)
 
@@ -248,7 +249,7 @@ def test_equals_reference_on_pair_scheme_corpus(monkeypatch):
 
 def test_large_system_prices_without_the_incidence_matrix():
     # m * 2^n = 13 * 4096 is above the crossover, so pricing stays on the zeta
-    # transform and the solve never holds the m x 2^n int64 matrix.
+    # transform and the solve never holds the m x 2^n priced block.
     n = 12
     rows = [(0, F(1))] + [(mask(i), F(i, i + 1)) for i in range(1, n + 1)]
     matrix_bytes = 8 * len(rows) << n
@@ -257,7 +258,7 @@ def test_large_system_prices_without_the_incidence_matrix():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        res = solve_zero_one_feasibility(n, rows)
+        res = solve_zero_one_feasibility(n, *integer_rows(rows))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -270,20 +271,21 @@ def test_objective_entry_counts_toward_the_guard_peak(monkeypatch):
     rows = [(0, F(1)), (mask(1), F(1, 2)), (mask(2), F(1, 3)), (mask(1, 2), F(1, 6))]
     peaks = []
     guard = simplex._needs_object
-    monkeypatch.setattr(simplex, "_needs_object", lambda m, peak: peaks.append(peak) or guard(m, peak))
-    res = solve_zero_one_feasibility(2, rows)
+    monkeypatch.setattr(simplex, "_needs_object",
+                        lambda m, peak, priced=False: peaks.append(peak) or guard(m, peak, priced))
+    res = solve_zero_one_feasibility(2, *integer_rows(rows))
     assert peaks[0] == 12
     assert res == reference_solve(2, rows)
 
 
 def record_guard(monkeypatch):
-    """Wrap the int64 guard so a test can see which dtype each iteration ran on."""
+    """Wrap the int64 guard so a test can see, call by call, whether it guarded the priced block and its answer."""
     calls = []
     guard = simplex._needs_object
 
-    def spy(m, peak):
-        calls.append(guard(m, peak))
-        return calls[-1]
+    def spy(m, peak, priced=False):
+        calls.append((priced, guard(m, peak, priced)))
+        return calls[-1][1]
 
     monkeypatch.setattr(simplex, "_needs_object", spy)
     return calls
@@ -306,57 +308,99 @@ def test_huge_denominators_run_on_python_ints(monkeypatch, case):
     rows = huge_denominator_systems()[case]
     expected = lowest_terms(reference_solve(3, rows))
     calls = record_guard(monkeypatch)
-    res = solve_zero_one_feasibility(3, rows)
-    assert calls[0] is True  # object dtype from the start
+    res = solve_zero_one_feasibility(3, *integer_rows(rows))
+    # Neither the priced block nor int64 from the start, so the loop never asks the guard again.
+    assert calls == [(True, True), (False, True)]
     assert isinstance(res, Decomposition) == (case == 0)
     assert res == expected
     assert_plain_witness(res)
 
 
 def test_guard_switches_to_python_ints_mid_solve(monkeypatch):
-    # Vertex systems start with entries of 1; basis determinants then grow past it.
-    # int64 iterations price by the incidence product, object ones by zeta.
+    # Vertex and uniform systems start with small entries; basis determinants then grow past them.
+    # A solve starts with the priced block, drops it when the block's guard fails
+    # and then prices by zeta, on int64 until the plain guard fails too.
     monkeypatch.setattr(simplex, "_INCIDENCE_MAX", PRICING_LIMITS[1])
     rng = random.Random(7)
-    systems = [(n, random_system(rng, n, "vertex")) for n in (4, 5) for _ in range(20)]
+    systems = [(n, random_system(rng, n, kind)) for kind in ("vertex", "uniform") for n in (4, 5, 6) for _ in range(20)]
     calls = record_guard(monkeypatch)
-    switched = 0
+    switched = dropped = 0
     for n, rows in systems:
         expected = lowest_terms(reference_solve(n, rows))
-        for k in range(2, 16):
+        for k in range(2, 40):
             monkeypatch.setattr(simplex, "INT64_MAX", 2**k)
             calls.clear()
-            res = solve_zero_one_feasibility(n, rows)
+            res = solve_zero_one_feasibility(n, *integer_rows(rows))
             assert res == expected, (n, rows, k)
             assert_plain_witness(res)
-            switched += calls[0] is False and calls[-1] is True
-    assert switched > 0
+            # After the start-up pair, a failed block guard, then a passing plain one, drops the block on int64.
+            dropped += ((True, True), (False, False)) in zip(calls[2:], calls[3:])
+            # int64 at the start, Python ints at the end.
+            switched += calls[1] == (False, False) and calls[-1] == (False, True)
+    assert switched > 0 and dropped > 0, (switched, dropped)
 
 
 def test_running_bound_never_undercounts_the_int64_peak(monkeypatch):
     # The guard sees a running bound, not a scan; on every int64 iteration it
-    # must cover the caller's tableau. A pivot keeping the basis determinant
-    # takes the unimodular update, any other the full Bareiss update.
+    # must cover the caller's [adj S | D L x_B] block and last row, and m times
+    # it the priced block. A pivot keeping the basis determinant takes the
+    # unimodular update, any other the full Bareiss update.
     guard = simplex._needs_object
     last = []  # (basis, det) of the current solve's latest int64 iteration
     steps = {"unimodular": 0, "general": 0}
+    iterations = {"priced": 0, "zeta": 0}
 
-    def spy(m, peak):
+    def spy(m, peak, priced=False):
         caller = sys._getframe(1).f_locals
         tab = caller.get("tab")
-        if tab is None:  # the start-up call, before the tableau exists
+        if tab is None:  # the start-up calls, before the tableau exists
             last.clear()
         elif tab.dtype != object:
-            assert peak >= abs(tab).max()
+            assert peak >= abs(tab[:, :m + 1]).max()
+            if tab.shape[1] > m + 1:
+                assert m * peak >= abs(tab[:, m + 1:]).max()
+            iterations["priced" if tab.shape[1] > m + 1 else "zeta"] += 1
             basis, det = tuple(caller["basis"]), caller["det"]
             if last and last[0] != basis:  # one pivot since the last iteration
                 steps["unimodular" if det == last[1] else "general"] += 1
             last[:] = [basis, det]
-        return guard(m, peak)
+        return guard(m, peak, priced)
 
     monkeypatch.setattr(simplex, "_needs_object", spy)
     rng = random.Random(5)
     systems = corpus() + [(5, pair_scheme_rows(rng, 5, nudge=k % 2 == 1)) for k in range(6)]
     for n, rows in systems + [(8, orsay_rows())]:
-        solve_zero_one_feasibility(n, rows)
+        solve_each_pricing(monkeypatch, n, rows)
     assert steps["unimodular"] > 0 and steps["general"] > 0, steps
+    assert iterations["priced"] > 0 and iterations["zeta"] > 0, iterations
+
+
+def test_an_inside_solve_returns_at_the_first_zero_objective(monkeypatch):
+    # Once D L w = 0 every further pivot would be degenerate, so the solve returns
+    # before it prices again: the guard, asked at the top of every int64
+    # iteration, never sees a zero objective. At some returns a column still
+    # prices positive, where the run to optimality would have pivoted on.
+    guard, decompose = simplex._needs_object, simplex.Decomposition
+    objectives, stopped = [], []
+
+    def spy(m, peak, priced=False):
+        tab = sys._getframe(1).f_locals.get("tab")
+        if tab is not None:
+            objectives.append(tab[m, m])
+        return guard(m, peak, priced)
+
+    def stop(n, *integers):
+        caller = sys._getframe(1).f_locals
+        y, masks = caller["tab"][caller["m"], :caller["m"]].tolist(), caller["masks"].tolist()
+        assert caller["tab"][caller["m"], caller["m"]] == 0
+        stopped.append(any(sum(v for v, t in zip(y, masks) if t & ~eps == 0) > 0 for eps in range(1 << n)))
+        return decompose(n, *integers)
+
+    monkeypatch.setattr(simplex, "_needs_object", spy)
+    monkeypatch.setattr(simplex, "Decomposition", stop)
+    for n, rows in corpus():
+        expected = lowest_terms(reference_solve(n, rows))
+        for res in solve_each_pricing(monkeypatch, n, rows):
+            assert res == expected, (n, rows)
+    assert objectives and all(objectives)
+    assert any(stopped) and not all(stopped), (sum(stopped), len(stopped))
